@@ -479,30 +479,14 @@ func BenchmarkPipeline_FullCharacterization(b *testing.B) {
 }
 
 // BenchmarkPipeline4d380 runs the full Pmake characterization on the
-// 8-CPU 4d380 preset, serial (simworkers1) and on the conservative
-// parallel engine at increasing intra-run worker counts. Output is
-// byte-identical at every count, so the ns/op delta is the engine's
-// whole story: speedup on a multi-core host, coordination overhead on
-// a single-core one. The recorded SpecCommittedPerPhase metric shows
-// how much work each speculation phase actually moved off the serial
-// path.
+// 8-CPU 4d380 preset.
 func BenchmarkPipeline4d380(b *testing.B) {
 	m, err := machineflag.Preset("4d380")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("simworkers%d", w), func(b *testing.B) {
-			var ch *core.Characterization
-			for i := 0; i < b.N; i++ {
-				ch = core.Run(core.Config{Workload: workload.Pmake, Machine: m,
-					Window: benchWindow, Seed: 1, SimWorkers: w})
-			}
-			st := ch.Sim.SpecStats()
-			if st.Phases > 0 {
-				b.ReportMetric(float64(st.CommittedSteps)/float64(st.Phases), "committed/phase")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		core.Run(core.Config{Workload: workload.Pmake, Machine: m, Window: benchWindow, Seed: 1})
 	}
 }
 

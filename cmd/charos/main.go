@@ -55,8 +55,6 @@ func run() int {
 	faultSeed := flag.Int64("fault-seed", 0, "fault-injector seed (0 derives one from -seed)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker-pool size for the three workload runs (1 = serial)")
-	simWorkers := flag.Int("sim-workers", 1,
-		"intra-run worker goroutines for the conservative parallel engine (1 = serial scheduler); output is byte-identical at any count")
 	timeout := flag.Duration("timeout", 0,
 		"wall-clock budget for the whole run (0 = none); on expiry prints the cancellation provenance and exits nonzero")
 	buffered := flag.Bool("buffered", false,
@@ -102,14 +100,6 @@ func run() int {
 		}
 	}
 
-	// Oversubscription cap: pool workers × intra-run workers must fit the
-	// machine, or the engines just contend with each other.
-	pool := runner.CapTotal(*parallel, *simWorkers)
-	if pool != *parallel {
-		fmt.Fprintf(os.Stderr, "note: -parallel clamped %d -> %d (-sim-workers %d, GOMAXPROCS %d)\n",
-			*parallel, pool, *simWorkers, runtime.GOMAXPROCS(0))
-	}
-
 	name := strings.ToLower(*exp)
 	sched, err := sample.Parse(*sampleSpec)
 	if err != nil {
@@ -139,7 +129,6 @@ func run() int {
 		Inject:        injectCfg,
 		Buffered:      *buffered,
 		Reference:     *reference,
-		SimWorkers:    *simWorkers,
 		Sample:        sched,
 		CollectIResim: name == "all" || name == "figure6",
 	}
@@ -201,11 +190,11 @@ func run() int {
 	}
 
 	fmt.Fprintf(os.Stderr, "running Pmake, Multpgm and Oracle (window %d cycles ≈ %.0f ms at 33 MHz, %d workers)...\n",
-		cfg.Window, float64(cfg.Window.NS())/1e6, pool)
+		cfg.Window, float64(cfg.Window.NS())/1e6, *parallel)
 	if injectCfg != nil {
 		fmt.Fprintf(os.Stderr, "fault injection on: %s\n", injectCfg.Modes())
 	}
-	set, err := report.RunSetContext(ctx, cfg, runner.Options{Parallelism: pool})
+	set, err := report.RunSetContext(ctx, cfg, runner.Options{Parallelism: *parallel})
 	if err != nil {
 		// The structured cancellation carries its provenance: canonical
 		// config hash, seed, and the simulated cycle reached.

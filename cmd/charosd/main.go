@@ -8,8 +8,7 @@
 //
 // Server mode:
 //
-//	charosd [-addr :8416] [-workers N] [-workers-max N] [-queue N]
-//	        [-sim-workers N] [-max-total-workers N]
+//	charosd [-addr :8416] [-workers N] [-queue N]
 //	        [-shards N] [-cache-entries N] [-job-history N]
 //	        [-job-timeout D] [-stall-timeout D]
 //	        [-drain-policy finish|cancel] [-drain-timeout D]
@@ -19,19 +18,15 @@
 // per-shard LRU over completed results (-cache-entries total); GET
 // /v1/metrics exposes per-shard and global hit/miss/eviction counters
 // plus p50/p90/p99 submit-to-terminal latency and throughput, and a
-// per-job list with each run's simulated-Mcycles/s and intra-run worker
-// count. With -workers-max above -workers an adaptive manager grows and
-// shrinks the worker pool between the two on queue-depth and p99
-// thresholds. Jobs run the conservative parallel engine when
-// -sim-workers > 1 (output is byte-identical either way);
-// -max-total-workers clamps per-job intra-run parallelism so pool ×
-// sim workers never oversubscribes the budget.
+// per-job list with each run's simulated-Mcycles/s. The worker pool is
+// a fixed -workers goroutines (default GOMAXPROCS): runs are CPU-bound,
+// so workers beyond the core count gain nothing.
 //
 // Client mode (submit one job and wait):
 //
 //	charosd -submit [-addr host:port] [-workload Pmake] [-seed N]
 //	        [-window N] [-warmup N] [-sample W:L:P] [-ncpu N]
-//	        [-machine 4d340|4d380] [-check] [-sim-workers N]
+//	        [-machine 4d340|4d380] [-check]
 //	        [-timeout D] [-retries N] [-nowait] [-test-panic]
 //
 // Load-generator mode (fire N concurrent clients and report):
@@ -72,12 +67,7 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	addr := flag.String("addr", ":8416", "listen address (server) or server address (with -submit)")
-	workers := flag.Int("workers", 0, "worker-pool size, or the adaptive floor with -workers-max (0 = GOMAXPROCS)")
-	workersMax := flag.Int("workers-max", 0, "adaptive worker ceiling; 0 or <= -workers keeps a fixed pool")
-	simWorkers := flag.Int("sim-workers", 1,
-		"server: default intra-run worker count per job (conservative parallel engine; 1 = serial); client: the job's requested count")
-	maxTotal := flag.Int("max-total-workers", 0,
-		"cap on pool workers × per-job sim workers: per-job intra-run parallelism is clamped to fit (0 = no cap)")
+	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 8, "result-store shard count (rounded up to a power of two)")
 	cacheEntries := flag.Int("cache-entries", 4096, "completed results resident across all shards before LRU eviction")
 	jobHistory := flag.Int("job-history", 4096, "terminal jobs retained in the registry; older IDs return 404")
@@ -123,9 +113,8 @@ func run() int {
 		return clientMain(*addr, service.Request{
 			Workload: *wl, Machine: *machine, NCPU: *ncpu, Seed: *seed,
 			Window: *window, Warmup: *warmup, Check: *checkFlag,
-			Sample:     *sampleSpec,
-			SimWorkers: *simWorkers,
-			TimeoutMS:  int64(*timeout / time.Millisecond), TestPanic: *testPanic,
+			Sample:    *sampleSpec,
+			TimeoutMS: int64(*timeout / time.Millisecond), TestPanic: *testPanic,
 		}, *timeout, *retries, *nowait)
 	}
 
@@ -135,9 +124,8 @@ func run() int {
 	}
 	logger := log.New(os.Stderr, "charosd: ", log.LstdFlags|log.Lmicroseconds)
 	srv := service.New(service.Options{
-		Workers: *workers, MaxWorkers: *workersMax,
-		SimWorkers: *simWorkers, MaxTotalWorkers: *maxTotal,
-		Shards: *shards, CacheEntries: *cacheEntries, JobHistory: *jobHistory,
+		Workers: *workers,
+		Shards:  *shards, CacheEntries: *cacheEntries, JobHistory: *jobHistory,
 		QueueDepth: *queue, RetryAfter: *retryAfter,
 		JobTimeout: *jobTimeout, StallTimeout: *stallTimeout,
 		DrainFinish: *drainPolicy == "finish", DrainTimeout: *drainTimeout,
@@ -151,8 +139,8 @@ func run() int {
 		return 2
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	logger.Printf("serving on %s (workers=%d..%d shards=%d cache=%d history=%d queue=%d drain=%s/%s)",
-		ln.Addr(), *workers, *workersMax, *shards, *cacheEntries, *jobHistory,
+	logger.Printf("serving on %s (workers=%d shards=%d cache=%d history=%d queue=%d drain=%s/%s)",
+		ln.Addr(), *workers, *shards, *cacheEntries, *jobHistory,
 		*queue, *drainPolicy, *drainTimeout)
 
 	serveErr := make(chan error, 1)

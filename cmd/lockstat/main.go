@@ -42,8 +42,6 @@ func run() int {
 		"run the generic oracle paths instead of the memory-system fast path")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker-pool size for the workload runs (1 = serial)")
-	simWorkers := flag.Int("sim-workers", 1,
-		"intra-run worker goroutines for the conservative parallel engine (1 = serial scheduler); output is byte-identical at any count")
 	timeout := flag.Duration("timeout", 0,
 		"wall-clock budget for the whole run (0 = none); on expiry prints the cancellation provenance and exits nonzero")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -76,13 +74,6 @@ func run() int {
 		defer cancel()
 	}
 
-	// Oversubscription cap: pool workers × intra-run workers must fit the
-	// machine, or the engines just contend with each other.
-	pool := runner.CapTotal(*parallel, *simWorkers)
-	if pool != *parallel {
-		fmt.Fprintf(os.Stderr, "note: -parallel clamped %d -> %d (-sim-workers %d, GOMAXPROCS %d)\n",
-			*parallel, pool, *simWorkers, runtime.GOMAXPROCS(0))
-	}
 	sched, err := sample.Parse(*sampleSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -90,7 +81,7 @@ func run() int {
 	}
 	fmt.Fprintf(os.Stderr, "running all three workloads for Table 10, %s for the detail dump...\n", kind)
 	set, err := report.RunSetContext(ctx, core.Config{Machine: machine, Window: arch.Cycles(*window), Seed: *seed, Check: *checkFlag, Reference: *reference, Sample: sched},
-		runner.Options{Parallelism: pool, SimWorkers: *simWorkers})
+		runner.Options{Parallelism: *parallel})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -49,8 +49,6 @@ func run() int {
 		"run the generic oracle paths instead of the memory-system fast path")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker-pool size for independent runs (1 = serial)")
-	simWorkers := flag.Int("sim-workers", 1,
-		"intra-run worker goroutines for the conservative parallel engine (1 = serial scheduler); output is byte-identical at any count")
 	timeout := flag.Duration("timeout", 0,
 		"wall-clock budget for the whole sweep (0 = none); on expiry prints the cancellation provenance and exits nonzero")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -78,13 +76,6 @@ func run() int {
 		defer cancel()
 	}
 
-	// Oversubscription cap: pool workers × intra-run workers must fit the
-	// machine, or the engines just contend with each other.
-	pool := runner.CapTotal(*parallel, *simWorkers)
-	if pool != *parallel {
-		fmt.Fprintf(os.Stderr, "note: -parallel clamped %d -> %d (-sim-workers %d, GOMAXPROCS %d)\n",
-			*parallel, pool, *simWorkers, runtime.GOMAXPROCS(0))
-	}
 	sched, err := sample.Parse(*sampleSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -97,7 +88,7 @@ func run() int {
 		return 2
 	}
 
-	opts := runner.Options{Parallelism: pool, SimWorkers: *simWorkers}
+	opts := runner.Options{Parallelism: *parallel}
 	switch *exp {
 	case "figure6":
 		set, err := report.RunSetContext(ctx, core.Config{

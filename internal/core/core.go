@@ -81,12 +81,8 @@ type Config struct {
 	// Inject, when non-nil and enabled, runs the workload under
 	// deterministic fault injection.
 	Inject *inject.Config
-	// SimWorkers > 1 enables the conservative parallel engine: the CPUs
-	// are speculated ahead across that many goroutines and committed in
-	// the exact serial order, so the report is byte-identical to a
-	// serial run. Deliberately excluded from Hash(): the worker count
-	// changes wall-clock time only, never the output, so every worker
-	// count shares one content address (and one result-cache slot).
+	// Deprecated: SimWorkers is ignored; it is kept only so existing
+	// callers compile, and it is excluded from Hash().
 	SimWorkers int
 	// Sample, when enabled, runs the window under the sampled-simulation
 	// regime (functional fast-forward + measured detailed intervals; see
@@ -142,6 +138,12 @@ func (c Config) Hash() string {
 		// Appended only when sampling is on, so every pre-sampling hash
 		// (and cached result keyed by it) is unchanged.
 		fmt.Fprintf(h, "sample=%s;", c.Sample)
+		// The compact form keeps two decimals, so a schedule it rounds
+		// (30001 renders as "30K") also digests its exact cycles; the
+		// round schedules keep the hash they always had.
+		if back, err := sample.Parse(c.Sample.String()); err != nil || back != c.Sample {
+			fmt.Fprintf(h, "sample-cycles=%d:%d:%d;", c.Sample.Warmup, c.Sample.Length, c.Sample.Period)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -275,7 +277,6 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 		Reference:      cfg.Reference,
 		Check:          cfg.Check,
 		Inject:         cfg.Inject,
-		SimWorkers:     cfg.SimWorkers,
 		Sample:         cfg.Sample,
 		Kernel: kernel.Config{Affinity: cfg.Affinity, OptimizedText: cfg.OptimizedText,
 			BlockOpBypass: cfg.BlockOpBypass},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -38,8 +37,7 @@ func sampleTolerance(t *testing.T, name string, got, want, stderr, fullTotal flo
 // run must (a) take the exact trajectory of the full-detail run — equal
 // architectural state hashes, time split and kernel counters — and
 // (b) estimate every per-class miss count within the documented
-// tolerance. A second sampled run on the parallel engine must reproduce
-// the serial estimate bit for bit.
+// tolerance.
 func TestSampledMatchesFullRun(t *testing.T) {
 	sched, err := sample.Parse(sampleSchedule)
 	if err != nil {
@@ -92,18 +90,6 @@ func TestSampledMatchesFullRun(t *testing.T) {
 				t.Errorf("total misses: sampled %.0f vs full %d (%.1f%% off, cap 20%%)",
 					total, fullTotal, 100*rel)
 			}
-
-			// The conservative parallel engine must reproduce the serial
-			// sampled run exactly — phases flip only at step boundaries,
-			// where the workers have quiesced.
-			par := Run(Config{Workload: wl, Window: arch.DefaultWindow, Sample: sched, SimWorkers: 2})
-			if sh, ph := samp.Sim.StateHash(), par.Sim.StateHash(); sh != ph {
-				t.Errorf("parallel sampled state hash diverged: serial %x, workers=2 %x", sh, ph)
-			}
-			if !reflect.DeepEqual(samp.Sampled, par.Sampled) {
-				t.Errorf("parallel sampled estimate diverged from serial:\nserial  %+v\nworkers %+v",
-					samp.Sampled, par.Sampled)
-			}
 		})
 	}
 }
@@ -117,18 +103,12 @@ func TestSampledRunUnderChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		ch := Run(Config{
-			Workload: workload.Pmake, Window: 4_000_000, Check: true,
-			Sample: sched, SimWorkers: workers,
-		})
-		if n := len(ch.CheckErrors); n > 0 {
-			t.Fatalf("workers=%d: checker found %d violations in a sampled run, first: %v",
-				workers, n, ch.CheckErrors[0])
-		}
-		if ch.Sim.Chk.Checks == 0 {
-			t.Errorf("workers=%d: no checks performed in the detailed phases", workers)
-		}
+	ch := Run(Config{Workload: workload.Pmake, Window: 4_000_000, Check: true, Sample: sched})
+	if n := len(ch.CheckErrors); n > 0 {
+		t.Fatalf("checker found %d violations in a sampled run, first: %v", n, ch.CheckErrors[0])
+	}
+	if ch.Sim.Chk.Checks == 0 {
+		t.Error("no checks performed in the detailed phases")
 	}
 }
 
@@ -137,11 +117,6 @@ func TestSampledRunUnderChecker(t *testing.T) {
 // and distinguishes sampled configs from full ones and from each other.
 func TestSampleHashIdentity(t *testing.T) {
 	base := Config{Workload: workload.Multpgm, Window: 2_000_000, Seed: 5}
-	withWorkers := base
-	withWorkers.SimWorkers = 2
-	if base.Hash() != withWorkers.Hash() {
-		t.Error("unsampled config hash unstable across worker counts")
-	}
 	s1, _ := sample.Parse("10K:20K:100K")
 	s2, _ := sample.Parse("10K:20K:200K")
 	a, b := base, base

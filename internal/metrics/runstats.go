@@ -28,17 +28,6 @@ type RunStats struct {
 	// BatchStats carries the process-wide totals either way.
 	Allocs     uint64
 	AllocBytes uint64
-	// SimWorkers is the run's intra-run worker count: the conservative
-	// parallel engine's goroutine count when it engaged, 1 when the run
-	// executed on the serial scheduler.
-	SimWorkers int
-	// SpecPhases, SpecSteps and SpecCommitted mirror the parallel
-	// engine's counters: speculation/commit rounds, virtual steps
-	// speculated, and how many of those the merge consumed (the rest
-	// were truncated and re-run serially). All zero for serial runs.
-	SpecPhases    int64
-	SpecSteps     int64
-	SpecCommitted int64
 }
 
 // Throughput fills MCyclesPerSec from Wall and SimCycles.
@@ -46,16 +35,6 @@ func (r *RunStats) Throughput() {
 	if r.Wall > 0 {
 		r.MCyclesPerSec = float64(r.SimCycles) / r.Wall.Seconds() / 1e6
 	}
-}
-
-// HorizonBatch is the mean speculated steps per speculation phase — how
-// deep the run-ahead horizon reached before each commit. Zero for serial
-// runs.
-func (r RunStats) HorizonBatch() float64 {
-	if r.SpecPhases == 0 {
-		return 0
-	}
-	return float64(r.SpecSteps) / float64(r.SpecPhases)
 }
 
 // BatchStats aggregates one parallel batch of runs.
@@ -86,19 +65,15 @@ func (b BatchStats) Speedup() float64 {
 // Table renders the batch as an aligned table with a summary footnote.
 func (b BatchStats) Table() string {
 	t := NewTable(fmt.Sprintf("Experiment timing (%d workers)", b.Parallelism),
-		"Run", "Wall", "Mcycles/s", "SimW", "Allocs", "Alloc MB")
+		"Run", "Wall", "Mcycles/s", "Allocs", "Alloc MB")
 	for _, r := range b.Runs {
 		allocs, mb := "-", "-"
 		if r.Allocs > 0 {
 			allocs = fmt.Sprint(r.Allocs)
 			mb = fmt.Sprintf("%.1f", float64(r.AllocBytes)/1e6)
 		}
-		simw := "-"
-		if r.SimWorkers > 1 {
-			simw = fmt.Sprintf("%d(%.0f)", r.SimWorkers, r.HorizonBatch())
-		}
 		t.AddRow(r.Label, r.Wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1f", r.MCyclesPerSec), simw, allocs, mb)
+			fmt.Sprintf("%.1f", r.MCyclesPerSec), allocs, mb)
 	}
 	t.Note("batch wall %s vs serial %s — speedup %.2fx; %d allocs (%.1f MB) process-wide",
 		b.Wall.Round(time.Millisecond), b.SerialWall.Round(time.Millisecond),

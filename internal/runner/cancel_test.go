@@ -66,23 +66,31 @@ func TestExperimentsPanicIsolationOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestParallelEngineCancelNoLeak cancels runs mid-simulation while the
-// conservative parallel engine is active. Each cancellation must
-// propagate before the run's next bus transaction and come back as a
-// structured *core.CanceledError with full provenance — and the
-// engine's speculation workers must all exit: repeated canceled runs
-// may not accumulate goroutines.
-func TestParallelEngineCancelNoLeak(t *testing.T) {
+// TestRunOneCancelMidRunNoLeak cancels runs mid-simulation through the
+// runner. Each cancellation must propagate before the run's next bus
+// transaction and come back as a structured *core.CanceledError with
+// full provenance, and repeated canceled runs may not accumulate
+// goroutines.
+func TestRunOneCancelMidRunNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := core.Config{
 		Workload: workload.Oracle, NCPU: 8,
-		// A window far past what the deadline allows: the run can only
-		// end through the cancel path.
-		Window: 1 << 30, Seed: 7, SimWorkers: 4,
+		// A window far past any test budget: the run can only end
+		// through the cancel path.
+		Window: 1 << 30, Seed: 7,
 	}
 	for i := 0; i < 4; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		res := RunOne(ctx, cfg)
+		// Cancel once the simulation has visibly started, so the cancel
+		// lands mid-run however slow set-up is (e.g. under -race).
+		ctx, cancel := context.WithCancel(context.Background())
+		res := RunOneMonitored(ctx, cfg, func(progress func() arch.Cycles) {
+			go func() {
+				for progress() == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				cancel()
+			}()
+		})
 		cancel()
 		if res.Ch != nil {
 			t.Fatal("canceled run still produced a characterization")
@@ -98,16 +106,15 @@ func TestParallelEngineCancelNoLeak(t *testing.T) {
 			t.Error("cancellation carries no simulated-cycle provenance")
 		}
 	}
-	// The speculation workers are per-phase: a clean unwind leaves no
-	// goroutine behind. Poll briefly — exiting goroutines need a
-	// scheduler beat to be reaped from the count.
+	// A clean unwind leaves no goroutine behind. Poll briefly — exiting
+	// goroutines need a scheduler beat to be reaped from the count.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+2 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after canceled parallel runs",
+			t.Fatalf("goroutines leaked: %d before, %d after canceled runs",
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)

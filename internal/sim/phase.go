@@ -81,9 +81,7 @@ func (s *Simulator) runSampled() {
 
 	// The segment walk. Tracing starts in the detailed phase (the trace-
 	// start dump above ran with escapes live); transitions happen only
-	// between loop() calls, where every CPU sits at a step boundary —
-	// which is also where the parallel engine's workers have quiesced,
-	// so sampling composes with -sim-workers.
+	// between loop() calls, where every CPU sits at a step boundary.
 	for _, seg := range s.Cfg.Sample.Segments(s.Cfg.Window) {
 		if detailed := seg.Detailed; detailed != (s.Phase == Detailed) {
 			if detailed {

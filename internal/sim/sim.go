@@ -64,15 +64,6 @@ type Config struct {
 	// Inject, when non-nil and enabled, perturbs the run with
 	// deterministic faults.
 	Inject *inject.Config
-	// SimWorkers > 1 enables the conservative parallel engine: the
-	// machine's CPUs are partitioned across that many goroutines, each
-	// speculating privately between bus-commit points, with a
-	// deterministic merge that keeps reports byte-identical to the
-	// serial engine (0 or 1). It silently falls back to serial when the
-	// configuration doesn't support speculation (reference/check/inject
-	// runs, a buffered monitor, set-associative geometries, 1 CPU, or
-	// more CPUs than the presence filter covers).
-	SimWorkers int
 	// Sample, when enabled, runs the traced window under the sampled-
 	// simulation regime: detailed re-warm + measured intervals separated
 	// by functionally-warmed fast-forward stretches (see the sample
@@ -120,10 +111,10 @@ const idleStep = 400
 
 // Simulator owns the machine and the kernel.
 type Simulator struct {
-	Cfg  Config
-	K    *kernel.Kernel
-	Bus  *bus.System
-	Mon  *monitor.Monitor
+	Cfg Config
+	K   *kernel.Kernel
+	Bus *bus.System
+	Mon *monitor.Monitor
 	// Stream, when non-nil, is attached to the bus at trace start (after
 	// warmup) and consumes every transaction inline; with a Monitor also
 	// present the two share the stream through a bus.Fanout. Set it
@@ -134,9 +125,6 @@ type Simulator struct {
 	Chk *check.Checker
 	// Inj is the fault injector (nil unless Cfg.Inject is enabled).
 	Inj *inject.Injector
-	// par is the conservative parallel engine (nil when running serial:
-	// SimWorkers ≤ 1 or an unsupported configuration).
-	par *parEngine
 
 	// Phase is the current simulation phase of a sampled run (always
 	// Detailed otherwise); see phase.go.
@@ -236,9 +224,6 @@ func New(cfg Config) *Simulator {
 			mode:          arch.ModeKernel,
 			nextClockTick: arch.ClockTickCycles + arch.Cycles(i*1000),
 		}
-	}
-	if cfg.SimWorkers > 1 && s.specAllowed() {
-		s.par = newParEngine(s, cfg.SimWorkers)
 	}
 	return s
 }
@@ -397,10 +382,6 @@ func (s *Simulator) minClock() arch.Cycles {
 func (s *Simulator) loop() {
 	if s.Cfg.Reference {
 		s.loopReference()
-		return
-	}
-	if s.par != nil {
-		s.loopParallel()
 		return
 	}
 	for {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"repro/internal/arch"
-	"repro/internal/bus"
 	"repro/internal/kernel"
 	"repro/internal/klock"
 )
@@ -22,14 +21,6 @@ func (s *Simulator) runUser(c *CPU) {
 	if c.nextClockTick < deadline {
 		deadline = c.nextClockTick
 	}
-	s.runUserUntil(c, deadline)
-}
-
-// runUserUntil runs the current process's reference stream until the
-// given deadline. The parallel engine calls it directly: when resuming a
-// speculated partial burst it must finish against the burst's original
-// deadline, not one recomputed mid-burst.
-func (s *Simulator) runUserUntil(c *CPU, deadline arch.Cycles) {
 	pr := c.cur
 	for c.now < deadline && c.cur == pr {
 		if pr.PendingCompute <= 0 {
@@ -40,12 +31,6 @@ func (s *Simulator) runUserUntil(c *CPU, deadline arch.Cycles) {
 		}
 		before := c.now
 		s.genRefs(c, pr)
-		if sp := c.spec; sp != nil && sp.stopped {
-			// Speculation hit a non-private site mid-group: unwind to
-			// the group entry so the serial resume redraws identically.
-			sp.rollbackGroup(c)
-			return
-		}
 		dt := c.now - before
 		pr.PendingCompute -= dt
 		pr.QuantumUsed += dt
@@ -55,13 +40,6 @@ func (s *Simulator) runUserUntil(c *CPU, deadline arch.Cycles) {
 // nextAction advances the process's behavior state machine. It returns
 // true when the action transferred control away from user mode.
 func (s *Simulator) nextAction(c *CPU, pr *kernel.Proc) bool {
-	if sp := c.spec; sp != nil {
-		// Behavior draws and lock/syscall actions touch shared state
-		// (the kernel PRNG, user locks): speculation stops here and the
-		// commit phase runs the action serially.
-		sp.stopped = true
-		return true
-	}
 	// A user-lock action in progress?
 	if la := pr.PendingAction; la != nil {
 		if pr.UserLockHeld {
@@ -117,11 +95,6 @@ func (s *Simulator) nextAction(c *CPU, pr *kernel.Proc) bool {
 func (s *Simulator) genRefs(c *CPU, pr *kernel.Proc) {
 	fp := &pr.FP
 	rng := &fp.Rng
-	if sp := c.spec; sp != nil {
-		// Checkpoint the group entry: a mid-group speculation stop rolls
-		// back here and the serial resume redraws the same values.
-		sp.markGroup(c)
-	}
 	if len(fp.CodeVPages) > 0 {
 		total := len(fp.CodeVPages) * blocksPerPage
 		if fp.LoopLeft <= 0 {
@@ -148,17 +121,8 @@ func (s *Simulator) genRefs(c *CPU, pr *kernel.Proc) {
 			return
 		}
 		pa := arch.FrameAddr(fr) + arch.PAddr((pos%blocksPerPage)*arch.BlockSize)
-		var out bus.Outcome
-		if sp := c.spec; sp != nil {
-			if s.cancel.Load() {
-				sp.stopped, sp.canceled = true, true
-				return
-			}
-			out = sp.bs.Fetch(pa, c.now)
-		} else {
-			s.pollCancel(c)
-			out = s.Bus.Fetch(c.id, pa, c.now)
-		}
+		s.pollCancel(c)
+		out := s.Bus.Fetch(c.id, pa, c.now)
 		c.adv(arch.InstrPerBlock)
 		if out.Stall > 0 {
 			c.advStall(out.Stall)
@@ -183,9 +147,6 @@ func (s *Simulator) genRefs(c *CPU, pr *kernel.Proc) {
 	}
 	window := hot * blocksPerPage
 	for i := 0; i < fp.DataRefsPerBlock; i++ {
-		if sp := c.spec; sp != nil && sp.stopped {
-			return // canceled mid-group; the whole segment is abandoned
-		}
 		r := rng.Intn(4096)
 		if r < 1 {
 			// Shift the hot window.
@@ -228,10 +189,6 @@ func (s *Simulator) translate(c *CPU, pr *kernel.Proc, vp uint32, write bool) (u
 	for attempt := 0; attempt < 3; attempt++ {
 		if fr, hit := c.tlb.Lookup(pr.PID, vp); hit {
 			if write && s.K.IsCOW(pr, vp) {
-				if sp := c.spec; sp != nil {
-					sp.stopped = true
-					return 0, false
-				}
 				s.pageFault(c, pr, vp, true)
 				if c.cur != pr {
 					return 0, false
@@ -247,13 +204,6 @@ func (s *Simulator) translate(c *CPU, pr *kernel.Proc, vp uint32, write bool) (u
 				c.lastDataPID, c.lastDataVP, c.lastDataFr, c.lastDataOK, c.lastDataWr = pr.PID, vp, fr, true, false
 			}
 			return fr, true
-		}
-		if sp := c.spec; sp != nil {
-			// Both fault paths run kernel code (shared structures,
-			// locks): speculation stops and the fault is taken serially
-			// at commit, with identical TLB state.
-			sp.stopped = true
-			return 0, false
 		}
 		if s.K.IsMapped(pr, vp) && !(write && s.K.IsCOW(pr, vp)) {
 			// Cheap UTLB refill: brief kernel excursion, no OS
