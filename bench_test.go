@@ -7,11 +7,7 @@
 package repro
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cluster"
@@ -24,7 +20,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sample"
-	"repro/internal/service"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -601,48 +596,6 @@ func BenchmarkAblationBlockOpBypass_Pmake(b *testing.B) {
 	b.ReportMetric(metrics.PctOf(byp.Trace.Counts[1][0][trace.Uncached],
 		byp.Trace.OSMissTotal), "uncached%_of_os_bypass")
 }
-
-// ---- charosd result store: sharded vs single-mutex ----
-
-// benchResultStore measures the hot path of the experiment service's
-// result store — a cache hit (shard lock, map lookup, LRU touch) plus a
-// latency observation — from many goroutines at once. With shards=1 the
-// store degenerates to the old single-mutex cache, so the pair is a
-// direct before/after comparison of the PR 7 sharding.
-func benchResultStore(b *testing.B, shards int) {
-	const configs = 256
-	st := service.NewStore(shards, 4*configs)
-	hashes := make([]string, configs)
-	for i := range hashes {
-		sum := sha256.Sum256([]byte(fmt.Sprintf("bench-cfg-%d", i)))
-		hashes[i] = hex.EncodeToString(sum[:])
-		e, leader := st.Begin(hashes[i])
-		if !leader {
-			b.Fatal("duplicate benchmark hash")
-		}
-		st.Complete(hashes[i], e, service.Outcome{Report: "r"})
-	}
-	// Far more goroutines than GOMAXPROCS: the interesting cost is
-	// contended-mutex handoff, which sharding removes even on one CPU.
-	b.SetParallelism(64)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			h := hashes[i%configs]
-			i++
-			if _, leader := st.Begin(h); leader {
-				b.Error("benchmark hit path took a miss")
-				return
-			}
-			st.RecordLatency(h, time.Millisecond)
-		}
-	})
-	b.ReportMetric(float64(st.Shards()), "shards")
-}
-
-func BenchmarkResultStore_SingleMutex(b *testing.B) { benchResultStore(b, 1) }
-func BenchmarkResultStore_Sharded16(b *testing.B)   { benchResultStore(b, 16) }
 
 // ---- Ablation: write-invalidate vs write-update coherence ----
 

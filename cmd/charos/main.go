@@ -71,6 +71,16 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	// -ncpu overrides the validated machine inside each run; check the
+	// override here so a bad count is a usage error, not a run panic.
+	if *ncpu != 0 {
+		vm := machine
+		vm.NCPU = *ncpu
+		if err := vm.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "-ncpu %d: %v\n", *ncpu, err)
+			return 2
+		}
+	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {

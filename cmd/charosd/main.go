@@ -9,18 +9,17 @@
 // Server mode:
 //
 //	charosd [-addr :8416] [-workers N] [-queue N]
-//	        [-shards N] [-cache-entries N] [-job-history N]
+//	        [-cache-entries N] [-job-history N]
 //	        [-job-timeout D] [-stall-timeout D]
 //	        [-drain-policy finish|cancel] [-drain-timeout D]
 //	        [-retry-after D] [-test-hooks]
 //
-// The result store is sharded (-shards, power of two) with a bounded
-// per-shard LRU over completed results (-cache-entries total); GET
-// /v1/metrics exposes per-shard and global hit/miss/eviction counters
-// plus p50/p90/p99 submit-to-terminal latency and throughput, and a
-// per-job list with each run's simulated-Mcycles/s. The worker pool is
-// a fixed -workers goroutines (default GOMAXPROCS): runs are CPU-bound,
-// so workers beyond the core count gain nothing.
+// The result store keeps at most -cache-entries completed results,
+// evicting least-recently-used beyond that; GET /v1/metrics exposes its
+// hit/miss/eviction counters plus p50/p90/p99 submit-to-terminal latency
+// and throughput, and a per-job list with each run's simulated-Mcycles/s.
+// The worker pool is a fixed -workers goroutines (default GOMAXPROCS):
+// runs are CPU-bound, so workers beyond the core count gain nothing.
 //
 // Client mode (submit one job and wait):
 //
@@ -68,8 +67,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	addr := flag.String("addr", ":8416", "listen address (server) or server address (with -submit)")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 8, "result-store shard count (rounded up to a power of two)")
-	cacheEntries := flag.Int("cache-entries", 4096, "completed results resident across all shards before LRU eviction")
+	cacheEntries := flag.Int("cache-entries", 4096, "completed results resident before LRU eviction")
 	jobHistory := flag.Int("job-history", 4096, "terminal jobs retained in the registry; older IDs return 404")
 	queue := flag.Int("queue", 64, "admission-queue depth; beyond it submissions shed with 429")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint advertised on shed")
@@ -124,8 +122,7 @@ func run() int {
 	}
 	logger := log.New(os.Stderr, "charosd: ", log.LstdFlags|log.Lmicroseconds)
 	srv := service.New(service.Options{
-		Workers: *workers,
-		Shards:  *shards, CacheEntries: *cacheEntries, JobHistory: *jobHistory,
+		Workers: *workers, CacheEntries: *cacheEntries, JobHistory: *jobHistory,
 		QueueDepth: *queue, RetryAfter: *retryAfter,
 		JobTimeout: *jobTimeout, StallTimeout: *stallTimeout,
 		DrainFinish: *drainPolicy == "finish", DrainTimeout: *drainTimeout,
@@ -139,8 +136,8 @@ func run() int {
 		return 2
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	logger.Printf("serving on %s (workers=%d shards=%d cache=%d history=%d queue=%d drain=%s/%s)",
-		ln.Addr(), *workers, *shards, *cacheEntries, *jobHistory,
+	logger.Printf("serving on %s (workers=%d cache=%d history=%d queue=%d drain=%s/%s)",
+		ln.Addr(), *workers, *cacheEntries, *jobHistory,
 		*queue, *drainPolicy, *drainTimeout)
 
 	serveErr := make(chan error, 1)
@@ -242,11 +239,13 @@ func loadMain(addr string, n, hot, distinct int, base service.Request) int {
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < n; i++ {
+		// i/4 decorrelates the seed from the i%4 hot/cold split, so the
+		// traffic really spreads over all hot and all distinct configs.
 		req := base
 		if i%4 != 0 {
-			req.Seed = 1 + int64(i%hot) // duplicate traffic: dedup/singleflight
+			req.Seed = 1 + int64((i/4)%hot) // duplicate traffic: dedup/singleflight
 		} else {
-			req.Seed = 100_000 + int64(i%distinct) // cold traffic: LRU churn
+			req.Seed = 100_000 + int64((i/4)%distinct) // cold traffic: LRU churn
 		}
 		body, err := json.Marshal(req)
 		if err != nil {

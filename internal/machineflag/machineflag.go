@@ -32,8 +32,8 @@ func Preset(name string) (arch.Machine, error) {
 	}
 }
 
-// ParseSize parses a byte count with an optional K/M suffix ("256K",
-// "1M", "65536").
+// ParseSize parses a non-negative byte count with an optional K/M
+// suffix ("256K", "1M", "65536").
 func ParseSize(s string) (int, error) {
 	mult := 1
 	t := strings.TrimSpace(s)
@@ -44,8 +44,8 @@ func ParseSize(s string) (int, error) {
 		mult, t = 1<<20, t[:len(t)-1]
 	}
 	n, err := strconv.Atoi(t)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q (want bytes with optional K/M suffix)", s)
+	if err != nil || n < 0 || n > math.MaxInt/mult {
+		return 0, fmt.Errorf("bad size %q (want non-negative bytes with optional K/M suffix)", s)
 	}
 	return n * mult, nil
 }

@@ -7,22 +7,28 @@ import (
 	"repro/internal/arch"
 )
 
+// parseSizeCases is TestParseSize's table and FuzzParseSize's seed
+// corpus.
+var parseSizeCases = []struct {
+	in   string
+	want int
+	bad  bool
+}{
+	{"65536", 65536, false},
+	{"64K", 64 << 10, false},
+	{"64k", 64 << 10, false},
+	{"1M", 1 << 20, false},
+	{" 256K ", 256 << 10, false},
+	{"64KB", 0, true},
+	{"", 0, true},
+	{"big", 0, true},
+	{"-1", 0, true},
+	{"-64K", 0, true},
+	{"9223372036854775807M", 0, true},
+}
+
 func TestParseSize(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-		bad  bool
-	}{
-		{"65536", 65536, false},
-		{"64K", 64 << 10, false},
-		{"64k", 64 << 10, false},
-		{"1M", 1 << 20, false},
-		{" 256K ", 256 << 10, false},
-		{"64KB", 0, true},
-		{"", 0, true},
-		{"big", 0, true},
-	}
-	for _, c := range cases {
+	for _, c := range parseSizeCases {
 		got, err := ParseSize(c.in)
 		if c.bad {
 			if err == nil {
@@ -36,38 +42,41 @@ func TestParseSize(t *testing.T) {
 	}
 }
 
+// parseCyclesCases is TestParseCycles's table and FuzzParseCycles's
+// seed corpus.
+var parseCyclesCases = []struct {
+	in   string
+	want int64
+	bad  bool
+}{
+	{"12000000", 12_000_000, false},
+	{"0", 0, false},
+	{"800K", 800_000, false},
+	{"800k", 800_000, false},
+	{"12M", 12_000_000, false},
+	{"1.5M", 1_500_000, false},
+	{"1G", 1_000_000_000, false},
+	{" 2M ", 2_000_000, false},
+	{"1e9", 1_000_000_000, false},
+	{"2.5e8", 250_000_000, false},
+	{"1e3", 1_000, false},
+	// Bad inputs: suffixes are decimal cycles, not binary bytes, and
+	// fractions of a cycle do not exist.
+	{"", 0, true},
+	{"K", 0, true},
+	{"12X", 0, true},
+	{"-1", 0, true},
+	{"-2M", 0, true},
+	{"1.5", 0, true},
+	{"2.5e-8", 0, true},
+	{"1e20", 0, true},
+	{"9223372036854775807K", 0, true},
+	{"window", 0, true},
+	{"1e", 0, true},
+}
+
 func TestParseCycles(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-		bad  bool
-	}{
-		{"12000000", 12_000_000, false},
-		{"0", 0, false},
-		{"800K", 800_000, false},
-		{"800k", 800_000, false},
-		{"12M", 12_000_000, false},
-		{"1.5M", 1_500_000, false},
-		{"1G", 1_000_000_000, false},
-		{" 2M ", 2_000_000, false},
-		{"1e9", 1_000_000_000, false},
-		{"2.5e8", 250_000_000, false},
-		{"1e3", 1_000, false},
-		// Bad inputs: suffixes are decimal cycles, not binary bytes, and
-		// fractions of a cycle do not exist.
-		{"", 0, true},
-		{"K", 0, true},
-		{"12X", 0, true},
-		{"-1", 0, true},
-		{"-2M", 0, true},
-		{"1.5", 0, true},
-		{"2.5e-8", 0, true},
-		{"1e20", 0, true},
-		{"9223372036854775807K", 0, true},
-		{"window", 0, true},
-		{"1e", 0, true},
-	}
-	for _, c := range cases {
+	for _, c := range parseCyclesCases {
 		got, err := ParseCycles(c.in)
 		if c.bad {
 			if err == nil {
@@ -79,6 +88,32 @@ func TestParseCycles(t *testing.T) {
 			t.Errorf("ParseCycles(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
 	}
+}
+
+// FuzzParseSize: every input parses to a non-negative byte count or an
+// error — never a panic, a negative size or a wrapped-around product.
+func FuzzParseSize(f *testing.F) {
+	for _, c := range parseSizeCases {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if n, err := ParseSize(s); err == nil && n < 0 {
+			t.Errorf("ParseSize(%q) = %d", s, n)
+		}
+	})
+}
+
+// FuzzParseCycles: every input parses to a non-negative cycle count or
+// an error, never a panic.
+func FuzzParseCycles(f *testing.F) {
+	for _, c := range parseCyclesCases {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if n, err := ParseCycles(s); err == nil && n < 0 {
+			t.Errorf("ParseCycles(%q) = %d", s, n)
+		}
+	})
 }
 
 func TestCyclesFlag(t *testing.T) {

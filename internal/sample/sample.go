@@ -59,7 +59,8 @@ func (s Schedule) Validate() error {
 	if s.Warmup < 0 {
 		return fmt.Errorf("sample: warmup must be non-negative (got %d)", s.Warmup)
 	}
-	if s.Period < s.Warmup+s.Length {
+	// Compared by subtraction: Warmup+Length can wrap past MaxInt64.
+	if s.Warmup > s.Period || s.Length > s.Period-s.Warmup {
 		return fmt.Errorf("sample: period %d shorter than warmup %d + length %d",
 			s.Period, s.Warmup, s.Length)
 	}

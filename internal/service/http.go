@@ -16,7 +16,7 @@ import (
 //	GET  /v1/jobs           list every job's status, submission order.
 //	GET  /v1/jobs/{id}      one job's status; ?wait=1 blocks until terminal.
 //	GET  /v1/stats          counter snapshot.
-//	GET  /v1/metrics        per-shard + global cache counters, p50/p90/p99
+//	GET  /v1/metrics        result-cache counters, p50/p90/p99
 //	                        submit-to-terminal latency, throughput, worker
 //	                        pool and registry state.
 //	GET  /healthz           200 while the process lives.

@@ -27,8 +27,9 @@ import (
 //   - the post-drain heap returns to within a fixed budget of the
 //     baseline (terminal jobs must not pin simulator pipelines) and no
 //     goroutines leak;
-//   - the final /v1/metrics snapshot is internally consistent (shards
-//     sum to the global aggregate, ordered quantiles).
+//   - the final /v1/metrics snapshot is internally consistent (cache
+//     counters agree with Stats, entries within the cap, ordered
+//     quantiles).
 func TestLoadThousandsOfClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 2000-client load test in -short mode")
@@ -60,7 +61,6 @@ func TestLoadThousandsOfClients(t *testing.T) {
 	srv := New(Options{
 		Workers:      2,
 		QueueDepth:   8,
-		Shards:       4,
 		CacheEntries: 16, // < hot+cold distinct configs -> LRU evictions
 		JobHistory:   64, // << total jobs -> registry evictions
 		RetryAfter:   20 * time.Millisecond,
@@ -179,20 +179,17 @@ func TestLoadThousandsOfClients(t *testing.T) {
 
 	// Final metrics snapshot must be internally consistent.
 	m := srv.Metrics()
-	var hits, misses, resolved int64
-	for _, sh := range m.Shards {
-		hits += sh.Hits
-		misses += sh.Misses
-		resolved += sh.Resolved
+	if m.Cache.Hits != st.CacheHits || m.Cache.Evictions != st.CacheEvictions {
+		t.Errorf("cache metrics %+v disagree with stats %+v", m.Cache, st)
 	}
-	if hits != m.Global.Hits || misses != m.Global.Misses || resolved != m.Global.Resolved {
-		t.Errorf("shard sums (h=%d m=%d r=%d) != global %+v", hits, misses, resolved, m.Global)
+	if m.Cache.Entries > 16 {
+		t.Errorf("%d completed results resident, cap is 16", m.Cache.Entries)
 	}
-	if m.Global.P50MS > m.Global.P90MS || m.Global.P90MS > m.Global.P99MS {
-		t.Errorf("quantiles out of order: %+v", m.Global)
+	if m.Cache.P50MS > m.Cache.P90MS || m.Cache.P90MS > m.Cache.P99MS {
+		t.Errorf("quantiles out of order: %+v", m.Cache)
 	}
-	if m.Global.Resolved < int64(clients) {
-		t.Errorf("latency histogram saw %d resolutions for %d clients", m.Global.Resolved, clients)
+	if m.Cache.Resolved < int64(clients) {
+		t.Errorf("latency histogram saw %d resolutions for %d clients", m.Cache.Resolved, clients)
 	}
 	if m.JobsRetained > 64 {
 		t.Errorf("registry retains %d jobs, cap is 64", m.JobsRetained)

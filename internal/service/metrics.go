@@ -81,11 +81,8 @@ func quantileMS(counts [histBuckets]int64, q float64) float64 {
 	return float64(latencyBoundsMS[len(latencyBoundsMS)-1])
 }
 
-// ShardMetrics is one shard's counter-and-latency snapshot (or the
-// global aggregate when Shard is -1).
-type ShardMetrics struct {
-	// Shard is the shard index, -1 for the global aggregate.
-	Shard int `json:"shard"`
+// CacheMetrics is the result store's counter-and-latency snapshot.
+type CacheMetrics struct {
 	// Entries is the number of completed results resident; Inflight the
 	// number of singleflight claims currently executing.
 	Entries  int `json:"entries"`
@@ -98,7 +95,7 @@ type ShardMetrics struct {
 	// Resolved is the number of submit-to-terminal latencies observed.
 	Resolved int64 `json:"resolved"`
 	// P50/P90/P99 are submit-to-terminal latency quantiles in
-	// milliseconds, from the shard's fixed-bucket histogram.
+	// milliseconds, from the fixed-bucket histogram.
 	P50MS float64 `json:"p50_ms"`
 	P90MS float64 `json:"p90_ms"`
 	P99MS float64 `json:"p99_ms"`
@@ -106,13 +103,6 @@ type ShardMetrics struct {
 	MeanMS float64 `json:"mean_ms"`
 	// ThroughputPerSec is resolved jobs per second of server uptime.
 	ThroughputPerSec float64 `json:"throughput_per_sec"`
-}
-
-// WorkerMetrics describes the run-executing pool.
-type WorkerMetrics struct {
-	// Live is the current worker count: Options.Workers until a drain
-	// lets the pool exit.
-	Live int `json:"live"`
 }
 
 // JobMetrics is one retained job's execution record: its simulated-
@@ -127,12 +117,13 @@ type JobMetrics struct {
 
 // Metrics is the GET /v1/metrics payload.
 type Metrics struct {
-	UptimeSec  float64        `json:"uptime_sec"`
-	Global     ShardMetrics   `json:"global"`
-	Shards     []ShardMetrics `json:"shards"`
-	Workers    WorkerMetrics  `json:"workers"`
-	QueueLen   int            `json:"queue_len"`
-	QueueDepth int            `json:"queue_depth"`
+	UptimeSec float64      `json:"uptime_sec"`
+	Cache     CacheMetrics `json:"cache"`
+	// Workers is the live pool size: Options.Workers until a drain lets
+	// the pool exit.
+	Workers    int `json:"workers"`
+	QueueLen   int `json:"queue_len"`
+	QueueDepth int `json:"queue_depth"`
 	// JobsRetained/JobsEvicted describe the terminal-job registry
 	// (bounded by Options.JobHistory).
 	JobsRetained int   `json:"jobs_retained"`
@@ -142,66 +133,34 @@ type Metrics struct {
 	Jobs []JobMetrics `json:"jobs,omitempty"`
 }
 
-// snapshotShard renders one shard under its lock.
-func (st *Store) snapshotShard(i int, uptime time.Duration) (ShardMetrics, [histBuckets]int64, int64) {
-	sh := &st.shards[i]
-	sh.mu.Lock()
+// Snapshot renders the store's counters under its lock, then the
+// latency quantiles, mean and throughput from the histogram.
+func (st *Store) Snapshot() CacheMetrics {
+	st.mu.Lock()
 	inflight := 0
-	for _, e := range sh.entries {
+	for _, e := range st.entries {
 		if e.elem == nil {
 			inflight++
 		}
 	}
-	m := ShardMetrics{
-		Shard:     i,
-		Entries:   len(sh.entries) - inflight,
+	m := CacheMetrics{
+		Entries:   len(st.entries) - inflight,
 		Inflight:  inflight,
-		Hits:      sh.hits,
-		Misses:    sh.misses,
-		Evictions: sh.evictions,
+		Hits:      st.hits,
+		Misses:    st.misses,
+		Evictions: st.evictions,
 	}
-	sh.mu.Unlock()
-	counts := sh.hist.counts()
-	sum := sh.hist.sumMicros.Load()
-	m.Resolved = sh.hist.count.Load()
-	fillLatency(&m, counts, sum, uptime)
-	return m, counts, sum
-}
-
-func fillLatency(m *ShardMetrics, counts [histBuckets]int64, sumMicros int64, uptime time.Duration) {
+	st.mu.Unlock()
+	counts := st.hist.counts()
+	m.Resolved = st.hist.count.Load()
 	m.P50MS = quantileMS(counts, 0.50)
 	m.P90MS = quantileMS(counts, 0.90)
 	m.P99MS = quantileMS(counts, 0.99)
 	if m.Resolved > 0 {
-		m.MeanMS = float64(sumMicros) / float64(m.Resolved) / 1000
+		m.MeanMS = float64(st.hist.sumMicros.Load()) / float64(m.Resolved) / 1000
 	}
-	if s := uptime.Seconds(); s > 0 {
+	if s := time.Since(st.start).Seconds(); s > 0 {
 		m.ThroughputPerSec = float64(m.Resolved) / s
 	}
-}
-
-// Snapshot renders every shard plus the global aggregate (merged bucket
-// counts, summed counters).
-func (st *Store) Snapshot() (global ShardMetrics, shards []ShardMetrics) {
-	uptime := time.Since(st.start)
-	global = ShardMetrics{Shard: -1}
-	var gcounts [histBuckets]int64
-	var gsum int64
-	shards = make([]ShardMetrics, len(st.shards))
-	for i := range st.shards {
-		m, counts, sum := st.snapshotShard(i, uptime)
-		shards[i] = m
-		global.Entries += m.Entries
-		global.Inflight += m.Inflight
-		global.Hits += m.Hits
-		global.Misses += m.Misses
-		global.Evictions += m.Evictions
-		global.Resolved += m.Resolved
-		for b, c := range counts {
-			gcounts[b] += c
-		}
-		gsum += sum
-	}
-	fillLatency(&global, gcounts, gsum, uptime)
-	return global, shards
+	return m
 }

@@ -248,10 +248,10 @@ func TestStatsNeverOverResolved(t *testing.T) {
 }
 
 // TestMetricsEndpoint: /v1/metrics returns a consistent snapshot —
-// shards sum to the global aggregate, quantiles are ordered, and the
-// counters reflect the traffic just served.
+// quantiles are ordered and the counters reflect the traffic just
+// served.
 func TestMetricsEndpoint(t *testing.T) {
-	_, cl := newTestServer(t, Options{Workers: 2, Shards: 4})
+	_, cl := newTestServer(t, Options{Workers: 2})
 	ctx := context.Background()
 	req := smallReq(780)
 	for i := 0; i < 3; i++ { // 1 miss + 2 pure hits
@@ -269,32 +269,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := jsonDecode(resp, &m); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Shards) != 4 {
-		t.Fatalf("metrics reports %d shards, want 4", len(m.Shards))
+	if m.Cache.Hits != 2 || m.Cache.Misses != 1 || m.Cache.Resolved != 3 || m.Cache.Entries != 1 {
+		t.Errorf("cache = %+v, want 2 hits / 1 miss / 3 resolved / 1 entry", m.Cache)
 	}
-	var hits, misses, resolved int64
-	var entries int
-	for _, sh := range m.Shards {
-		hits += sh.Hits
-		misses += sh.Misses
-		resolved += sh.Resolved
-		entries += sh.Entries
+	if m.Cache.P50MS > m.Cache.P90MS || m.Cache.P90MS > m.Cache.P99MS {
+		t.Errorf("quantiles out of order: %+v", m.Cache)
 	}
-	if hits != m.Global.Hits || misses != m.Global.Misses ||
-		resolved != m.Global.Resolved || entries != m.Global.Entries {
-		t.Errorf("shard sums (h=%d m=%d r=%d e=%d) != global (%+v)", hits, misses, resolved, entries, m.Global)
+	if m.Cache.P99MS <= 0 || m.Cache.ThroughputPerSec <= 0 {
+		t.Errorf("latency/throughput not populated: %+v", m.Cache)
 	}
-	if m.Global.Hits != 2 || m.Global.Misses != 1 || m.Global.Resolved != 3 || m.Global.Entries != 1 {
-		t.Errorf("global = %+v, want 2 hits / 1 miss / 3 resolved / 1 entry", m.Global)
-	}
-	if m.Global.P50MS > m.Global.P90MS || m.Global.P90MS > m.Global.P99MS {
-		t.Errorf("quantiles out of order: %+v", m.Global)
-	}
-	if m.Global.P99MS <= 0 || m.Global.ThroughputPerSec <= 0 {
-		t.Errorf("latency/throughput not populated: %+v", m.Global)
-	}
-	if m.Workers.Live != 2 {
-		t.Errorf("worker metrics %+v, want fixed pool of 2", m.Workers)
+	if m.Workers != 2 {
+		t.Errorf("workers = %d, want fixed pool of 2", m.Workers)
 	}
 	if m.JobsRetained != 3 {
 		t.Errorf("jobs_retained = %d, want 3", m.JobsRetained)

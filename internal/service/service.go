@@ -243,11 +243,8 @@ func deterministicErr(err error) bool {
 type Options struct {
 	// Workers is the fixed run-executing pool size (default GOMAXPROCS).
 	Workers int
-	// Shards is the result-store shard count, rounded up to a power of
-	// two (default 8).
-	Shards int
-	// CacheEntries bounds completed results resident across all shards;
-	// beyond it the per-shard LRU evicts (default 4096).
+	// CacheEntries bounds completed results resident in the result
+	// store; beyond it the LRU evicts (default 4096).
 	CacheEntries int
 	// JobHistory bounds terminal jobs retained in the registry; older
 	// terminal jobs are evicted and their IDs return 404 (default 4096).
@@ -282,9 +279,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards <= 0 {
-		o.Shards = 8
 	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = defaultCacheEntries
@@ -369,7 +363,7 @@ func New(opts Options) *Server {
 	ctx, stop := context.WithCancelCause(context.Background())
 	s := &Server{
 		opts:     opts,
-		store:    NewStore(opts.Shards, opts.CacheEntries),
+		store:    NewStore(opts.CacheEntries),
 		hardCtx:  ctx,
 		hardStop: stop,
 		queue:    make(chan *Job, opts.QueueDepth),
@@ -413,11 +407,11 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Metrics assembles the /v1/metrics payload: per-shard and global
+// Metrics assembles the /v1/metrics payload: the result store's
 // hit/miss/eviction counters, latency quantiles and throughput, plus the
 // worker pool and registry state.
 func (s *Server) Metrics() Metrics {
-	global, shards := s.store.Snapshot()
+	cache := s.store.Snapshot()
 	s.mu.Lock()
 	retained := len(s.terminal)
 	jobs := make([]*Job, 0, len(s.order))
@@ -434,9 +428,8 @@ func (s *Server) Metrics() Metrics {
 	}
 	return Metrics{
 		UptimeSec:    time.Since(s.store.start).Seconds(),
-		Global:       global,
-		Shards:       shards,
-		Workers:      WorkerMetrics{Live: int(s.live.Load())},
+		Cache:        cache,
+		Workers:      int(s.live.Load()),
 		QueueLen:     len(s.queue),
 		QueueDepth:   cap(s.queue),
 		JobsRetained: retained,
@@ -636,7 +629,7 @@ func (s *Server) resolve(job *Job, out Outcome) {
 	state := job.state
 	job.mu.Unlock()
 	if !job.submitted.IsZero() {
-		s.store.RecordLatency(job.Hash, time.Since(job.submitted))
+		s.store.RecordLatency(time.Since(job.submitted))
 	}
 	s.retireJob(job.ID, state)
 	close(job.done)

@@ -73,7 +73,6 @@ go test -run 'TestDefaultMachineMatchesSeed' ./internal/report
 echo "== geometry sweep smoke (sweep -exp geometry, checker on)"
 go run ./cmd/sweep -exp geometry -window 1000000 >/dev/null
 
-echo "== charosd smoke (panic isolation, 429 shed, SIGTERM drain)"
 smoke=$(mktemp -d)
 daemon=""
 cleanup_smoke() {
@@ -81,6 +80,23 @@ cleanup_smoke() {
     rm -rf "$smoke"
 }
 trap 'cleanup_smoke' EXIT
+
+echo "== bad -ncpu is a usage error (charos -ncpu -3)"
+# The CPU-count override must be validated before any run starts: exit 2
+# with a message naming the flag, never a panic inside a worker.
+go build -o "$smoke/charos" ./cmd/charos
+status=0
+"$smoke/charos" -exp table1 -window 400000 -ncpu -3 >/dev/null 2> "$smoke/ncpu.err" || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "FAIL: charos -ncpu -3 exited $status, want 2" >&2; exit 1
+fi
+grep -q -- '-ncpu' "$smoke/ncpu.err" || {
+    echo "FAIL: charos -ncpu -3 did not name the flag" >&2; exit 1; }
+if grep -q 'panicked' "$smoke/ncpu.err"; then
+    echo "FAIL: charos -ncpu -3 panicked inside a run" >&2; exit 1
+fi
+
+echo "== charosd smoke (panic isolation, 429 shed, SIGTERM drain)"
 go build -o "$smoke/charosd" ./cmd/charosd
 caddr=127.0.0.1:18416
 "$smoke/charosd" -addr "$caddr" -workers 1 -queue 1 -test-hooks \
@@ -114,7 +130,7 @@ daemon=""
 grep -q 'drain complete: all accepted jobs resolved' "$smoke/charosd.log" || {
     echo "FAIL: drain did not resolve all accepted jobs" >&2; exit 1; }
 
-echo "== charosd load smoke (300 clients, sharded cache, fixed pool)"
+echo "== charosd load smoke (300 clients, bounded LRU cache, fixed pool)"
 # A fresh daemon sized so the load overflows everything on purpose: the
 # LRU cache (8 entries < 12 distinct configs), the job history (64 << 300
 # jobs) and the admission queue (sheds retried by the clients). The load
@@ -122,7 +138,7 @@ echo "== charosd load smoke (300 clients, sharded cache, fixed pool)"
 # job having seen only 200s and 429s.
 laddr=127.0.0.1:18417
 "$smoke/charosd" -addr "$laddr" -workers 2 -queue 4 \
-    -shards 4 -cache-entries 8 -job-history 64 -retry-after 50ms \
+    -cache-entries 8 -job-history 64 -retry-after 50ms \
     2> "$smoke/charosd-load.log" &
 daemon=$!
 "$smoke/charosd" -submit -addr "$laddr" -seed 9 -window 250000 -warmup 100000 >/dev/null
