@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
@@ -30,7 +31,7 @@ func runPair(b *testing.B, a, c core.Config) (*core.Characterization, *core.Char
 	b.Helper()
 	var res []runner.Result
 	for i := 0; i < b.N; i++ {
-		res, _ = runner.Experiments([]core.Config{a, c}, runner.Options{})
+		res, _ = runner.Experiments(context.Background(), []core.Config{a, c}, runner.Options{})
 	}
 	return res[0].Ch, res[1].Ch
 }
@@ -321,7 +322,7 @@ func BenchmarkTable9_All(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		osTot, instr, mig, blk = 0, 0, 0, 0
-		res, _ := runner.Experiments(cfgs, runner.Options{})
+		res, _ := runner.Experiments(context.Background(), cfgs, runner.Options{})
 		for _, r := range res {
 			ch := r.Ch
 			_, o, _ := ch.StallPct()
@@ -413,7 +414,12 @@ func BenchmarkTable11_Pmake(b *testing.B) {
 func BenchmarkFigure11_Multpgm(b *testing.B) {
 	var pts []report.Figure11Point
 	for i := 0; i < b.N; i++ {
-		pts = report.RunFigure11([]int{2, 4, 8}, 3_000_000, 1)
+		var err error
+		pts, _, err = report.RunFigure11(context.Background(), core.Config{Window: 3_000_000, Seed: 1},
+			[]int{2, 4, 8}, runner.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, p := range pts {
 		if p.Lock == klock.Runqlk {
@@ -458,7 +464,7 @@ func BenchmarkRunnerRunSet(b *testing.B) {
 	}
 	var batch metrics.BatchStats
 	for i := 0; i < b.N; i++ {
-		_, batch = runner.Experiments(cfgs, runner.Options{})
+		_, batch = runner.Experiments(context.Background(), cfgs, runner.Options{})
 	}
 	b.ReportMetric(batch.Speedup(), "pool_speedup_x")
 	b.ReportMetric(float64(batch.Parallelism), "workers")

@@ -72,5 +72,5 @@ func main() {
 	// Bonus: Runqlk is the lock to watch as machines grow (Figure 11).
 	rq := ch.Sim.K.Locks.Get(klock.Runqlk).ComputeStats()
 	fmt.Printf("\nRunqlk failed-acquire rate: %.1f%% — the paper predicts this grows\n", rq.PctFailed)
-	fmt.Printf("with the CPU count (run `go run ./cmd/sweep -exp figure11` to see).\n")
+	fmt.Printf("with the CPU count (run `go run ./cmd/charos -exp figure11` to see).\n")
 }

@@ -114,6 +114,66 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Validate rejects a config that cannot run, or cannot give a meaningful
+// result, before any simulation starts. Each error names the offending
+// field by the name the CLI flags and the service's JSON requests share
+// (machine, ncpu, window, warmup, sample).
+func (c Config) Validate() error {
+	m := c.Machine
+	if m == (arch.Machine{}) {
+		m = arch.Default()
+	}
+	if err := m.Validate(); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
+	if c.NCPU != 0 {
+		m.NCPU = c.NCPU
+		if err := m.Validate(); err != nil {
+			return fmt.Errorf("ncpu %d: %w", c.NCPU, err)
+		}
+	}
+	if c.Window < 0 {
+		return fmt.Errorf("window %d: must be ≥ 0 (0 = default)", c.Window)
+	}
+	if c.Warmup < 0 {
+		return fmt.Errorf("warmup %d: must be ≥ 0 (0 = default)", c.Warmup)
+	}
+	if err := c.sampleModes(); err != nil {
+		return fmt.Errorf("sample %s: %w", c.Sample, err)
+	}
+	if c.Sample.Enabled() {
+		// One measured interval gives no standard error, and none gives
+		// no estimate at all.
+		window := c.withDefaults().Window
+		if n := c.Sample.Samples(window); n < 2 {
+			return fmt.Errorf("sample %s: measures %d interval(s) in the %d-cycle window; an error bar needs at least 2",
+				c.Sample, n, window)
+		}
+	}
+	return nil
+}
+
+// sampleModes rejects a sample schedule that is degenerate or that the
+// config's other modes cannot run with: sampling needs the streaming
+// classifier (snapshots are taken at phase boundaries, mid-run) and skips
+// most transactions, so the materialized-trace oracle and the resim
+// streams — which need every transaction — cannot be collected.
+func (c Config) sampleModes() error {
+	if !c.Sample.Enabled() {
+		return nil
+	}
+	if err := c.Sample.Validate(); err != nil {
+		return err
+	}
+	if c.Buffered || c.NoTrace {
+		return errors.New("sampling requires the streaming pipeline (no buffered, no notrace)")
+	}
+	if c.CollectIResim || c.CollectDResim {
+		return errors.New("sampling cannot collect resim streams (they need every transaction)")
+	}
+	return nil
+}
+
 // Canonical returns the config with every default applied — the form the
 // simulator actually runs and the form Hash digests. Two configs that
 // canonicalize equal produce byte-identical runs.
@@ -209,11 +269,12 @@ type Characterization struct {
 	Sampled *sample.Estimate
 }
 
-// Run executes the full pipeline.
+// Run executes the full pipeline. A background context is never
+// canceled, so Run panics only on a config whose modes conflict (see
+// Validate).
 func Run(cfg Config) *Characterization {
 	ch, err := RunContext(context.Background(), cfg)
 	if err != nil {
-		// Unreachable: a background context is never canceled.
 		panic(err)
 	}
 	return ch
@@ -249,22 +310,10 @@ func RunMonitored(ctx context.Context, cfg Config, onStart func(progress func() 
 	if ctx.Err() != nil {
 		return nil, canceled(0)
 	}
-	streaming := !cfg.NoTrace && !cfg.Buffered
-	if cfg.Sample.Enabled() {
-		// Sampling needs the streaming classifier (snapshots are taken
-		// at phase boundaries, mid-run) and skips most transactions, so
-		// the materialized-trace oracle and the resim streams — which
-		// need every transaction — cannot be collected.
-		if err := cfg.Sample.Validate(); err != nil {
-			panic(fmt.Sprintf("core: %v", err))
-		}
-		if !streaming {
-			panic("core: sampling requires the streaming pipeline (no -buffered, no -notrace)")
-		}
-		if cfg.CollectIResim || cfg.CollectDResim {
-			panic("core: sampling cannot collect resim streams (they need every transaction)")
-		}
+	if err := cfg.sampleModes(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	streaming := !cfg.NoTrace && !cfg.Buffered
 	s := sim.New(sim.Config{
 		Machine:        cfg.Machine,
 		NCPU:           cfg.NCPU,
@@ -452,7 +501,7 @@ func (c *Characterization) Figure6() cachesweep.Figure6Result {
 
 // DefaultDSweepConfigs returns the canonical data-cache sweep points of
 // the §4.2.2 discussion, starting from the measured machine's 256 KB L2.
-// The geometry sweep (cmd/sweep -geometry) re-runs the full system at the
+// The geometry sweep (charos -exp geometry) re-runs the full system at the
 // direct-mapped points of this same list, so the replay and direct sweeps
 // share one config source.
 func DefaultDSweepConfigs() []cachesweep.Config {

@@ -1,6 +1,6 @@
 // Package machineflag is the shared CLI surface of the runtime machine
 // model: a -machine preset flag plus individual geometry override flags,
-// registered identically by all three commands (charos, lockstat, sweep).
+// registered by charos for every experiment it runs.
 package machineflag
 
 import (

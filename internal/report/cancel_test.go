@@ -37,9 +37,9 @@ func TestCanceledThenRerunByteIdentical(t *testing.T) {
 func TestRunSetContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	set, err := RunSetContext(ctx, core.Config{Window: 400_000, Warmup: 200_000}, runner.Options{Parallelism: 1})
+	set, err := RunSet(ctx, core.Config{Window: 400_000, Warmup: 200_000}, runner.Options{Parallelism: 1})
 	if set != nil || err == nil {
-		t.Fatalf("canceled RunSetContext returned (%v, %v)", set, err)
+		t.Fatalf("canceled RunSet returned (%v, %v)", set, err)
 	}
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Errorf("error %v does not match core.ErrCanceled", err)

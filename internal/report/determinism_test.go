@@ -1,10 +1,12 @@
 package report
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/machineflag"
 	"repro/internal/runner"
 )
 
@@ -14,7 +16,7 @@ import (
 // failure can always be reproduced from its seed alone.
 func TestReportsByteIdenticalPerSeed(t *testing.T) {
 	run := func() string {
-		return All(RunSet(core.Config{Window: 600_000, Warmup: 300_000, Seed: 11, Check: true}))
+		return All(mustRunSet(core.Config{Window: 600_000, Warmup: 300_000, Seed: 11, Check: true}, 0))
 	}
 	a, b := run(), run()
 	if a != b {
@@ -50,7 +52,7 @@ func diffLines(t *testing.T, what, a, b string) {
 func TestParallelRunSetByteIdentical(t *testing.T) {
 	cfg := core.Config{Window: 600_000, Warmup: 300_000, Seed: 11, Check: true, CollectIResim: true}
 	render := func(par int) string {
-		set := RunSetParallel(cfg, runner.Options{Parallelism: par})
+		set := mustRunSet(cfg, par)
 		return All(set) + Figure6(set)
 	}
 	diffLines(t, "report", render(1), render(8))
@@ -64,10 +66,10 @@ func TestParallelRunSetByteIdentical(t *testing.T) {
 func TestStreamingMatchesBufferedReports(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		render := func(buffered bool) string {
-			set := RunSetParallel(core.Config{
+			set := mustRunSet(core.Config{
 				Window: 600_000, Warmup: 300_000, Seed: 11, Check: true,
 				Buffered: buffered,
-			}, runner.Options{Parallelism: par})
+			}, par)
 			return All(set)
 		}
 		streaming, buffered := render(false), render(true)
@@ -93,10 +95,10 @@ func TestStreamingMatchesBufferedReports(t *testing.T) {
 func TestFastMatchesReferenceReports(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		render := func(ref bool) string {
-			set := RunSetParallel(core.Config{
+			set := mustRunSet(core.Config{
 				Window: 600_000, Warmup: 300_000, Seed: 11, Check: true,
 				Reference: ref,
-			}, runner.Options{Parallelism: par})
+			}, par)
 			return All(set)
 		}
 		fast, reference := render(false), render(true)
@@ -114,27 +116,56 @@ func TestFastMatchesReferenceReports(t *testing.T) {
 	}
 }
 
+// runFigure11 renders RunFigure11 under a background context.
+func runFigure11(t *testing.T, base core.Config, cpus []int, par int) string {
+	t.Helper()
+	pts, _, err := RunFigure11(context.Background(), base, cpus, runner.Options{Parallelism: par})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Figure11(pts)
+}
+
 // TestParallelFigure11ByteIdentical covers the other fan-out entry point:
 // the lock-contention sweep over CPU counts.
 func TestParallelFigure11ByteIdentical(t *testing.T) {
-	render := func(par int) string {
-		pts, _ := RunFigure11Parallel([]int{2, 3, 4}, 400_000, 7, runner.Options{Parallelism: par})
-		return Figure11(pts)
-	}
-	diffLines(t, "figure 11", render(1), render(8))
+	base := core.Config{Window: 400_000, Seed: 7}
+	diffLines(t, "figure 11", runFigure11(t, base, []int{2, 3, 4}, 1), runFigure11(t, base, []int{2, 3, 4}, 8))
 }
 
 // TestFigure11WindowDefault pins the zero-window fallback to the one
-// canonical default; this path used to disagree with cmd/sweep (8M vs 12M).
+// canonical default (a past Figure 11 path defaulted to 8M cycles where
+// every other path used 12M): the rates are computed over the window
+// the runs actually simulated.
 func TestFigure11WindowDefault(t *testing.T) {
-	if got := figure11Window(0); got != arch.DefaultWindow {
-		t.Errorf("figure11Window(0) = %d, want arch.DefaultWindow (%d)", got, arch.DefaultWindow)
-	}
-	if got := figure11Window(-1); got != arch.DefaultWindow {
-		t.Errorf("figure11Window(-1) = %d, want %d", got, arch.DefaultWindow)
-	}
-	if got := figure11Window(100); got != 100 {
-		t.Errorf("figure11Window(100) = %d, want 100", got)
+	diffLines(t, "figure 11 at the default window",
+		runFigure11(t, core.Config{Seed: 7}, []int{2}, 1),
+		runFigure11(t, core.Config{Seed: 7, Window: arch.DefaultWindow}, []int{2}, 1))
+}
+
+// figure11Golden is Figure 11 at cpus 2,4, window 1M, seed 7, as
+// rendered before the sweep took a base config.
+const figure11Golden = "Figure 11: Lock contention vs number of CPUs (Multpgm)\nCPUs             Lock  Failed acq/ms  Acq/ms\n--------------------------------------------\n2              Runqlk           0.37    5.60\n2             Memlock           0.00    1.03\n2               Ifree           0.00    0.03\n2     mp3d user locks           0.03    2.70\n4              Runqlk           0.70   13.30\n4             Memlock           0.00    1.90\n4               Ifree           0.00    0.00\n4     mp3d user locks           0.50    6.50\n  note: paper: contention (especially Runqlk) grows steadily with the CPU count\n"
+
+// TestFigure11HonoursBaseConfig: the sweep's runs inherit the base
+// config, so a geometry override or another machine preset moves the
+// points, while a base that sets only the window and seed renders
+// exactly what the sweep always rendered.
+func TestFigure11HonoursBaseConfig(t *testing.T) {
+	base := core.Config{Window: 1_000_000, Seed: 7}
+	cpus := []int{2, 4}
+	plain := runFigure11(t, base, cpus, 0)
+	diffLines(t, "figure 11 from a window+seed base", figure11Golden, plain)
+
+	big, _ := machineflag.Preset("4d380")
+	smallL2 := arch.Default()
+	smallL2.DCacheL2Size = 64 << 10
+	for name, m := range map[string]arch.Machine{"4d380": big, "64K L2": smallL2} {
+		cfg := base
+		cfg.Machine = m
+		if runFigure11(t, cfg, cpus, 0) == plain {
+			t.Errorf("machine %s: Figure 11 points unchanged from the default machine", name)
+		}
 	}
 }
 
@@ -157,10 +188,10 @@ func splitLines(s string) []string {
 // behavior exactly.
 func TestDefaultMachineMatchesSeed(t *testing.T) {
 	render := func(m arch.Machine) string {
-		set := RunSetParallel(core.Config{
+		set := mustRunSet(core.Config{
 			Machine: m,
 			Window:  600_000, Warmup: 300_000, Seed: 11, Check: true,
-		}, runner.Options{Parallelism: 8})
+		}, 8)
 		return All(set)
 	}
 	diffLines(t, "default machine vs constants", render(arch.Machine{}), render(arch.Default()))

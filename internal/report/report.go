@@ -5,6 +5,7 @@ package report
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -36,38 +37,21 @@ type Set struct {
 	Parallelism int
 }
 
-// RunSet executes all three workloads with the given base config, fanning
-// them across the runner's default worker pool. Output is byte-identical
-// to a serial execution (each run is seeded independently).
-func RunSet(cfg core.Config) *Set {
-	return RunSetParallel(cfg, runner.Options{})
-}
-
-// RunSetParallel is RunSet with an explicit worker-pool size
-// (Parallelism 1 restores strictly serial execution).
-func RunSetParallel(cfg core.Config, opts runner.Options) *Set {
-	set, err := RunSetContext(context.Background(), cfg, opts)
-	if err != nil {
-		// A background context never cancels, so the only possible error
-		// is a run panic — re-raise it with its structured provenance
-		// after the rest of the batch has resolved.
-		panic(err)
-	}
-	return set
-}
-
-// RunSetContext is RunSetParallel under a context: cancellation or
-// deadline expiry stops the in-flight runs before their next bus
-// transaction and returns the first run's structured error (a
-// *core.CanceledError or *runner.PanicError) instead of a Set.
-func RunSetContext(ctx context.Context, cfg core.Config, opts runner.Options) (*Set, error) {
+// RunSet executes all three workloads with the given base config (each
+// run overrides only Workload), fanning them across the worker pool.
+// Output is byte-identical to a serial execution (each run is seeded
+// independently). Cancellation or deadline expiry stops the in-flight
+// runs before their next bus transaction; a canceled or panicked run
+// returns the first run's structured error (a *core.CanceledError or
+// *runner.PanicError) instead of a Set.
+func RunSet(ctx context.Context, cfg core.Config, opts runner.Options) (*Set, error) {
 	kinds := []workload.Kind{workload.Pmake, workload.Multpgm, workload.Oracle}
 	cfgs := make([]core.Config, len(kinds))
 	for i, k := range kinds {
 		cfgs[i] = cfg
 		cfgs[i].Workload = k
 	}
-	res, batch := runner.ExperimentsContext(ctx, cfgs, opts)
+	res, batch := runner.Experiments(ctx, cfgs, opts)
 	for _, r := range res {
 		if r.Err != nil {
 			return nil, r.Err
@@ -427,8 +411,9 @@ func figure6Result(ch *core.Characterization, opts runner.Options) cachesweep.Fi
 	dm, tw := cachesweep.Figure6Configs()
 	configs := append(append([]cachesweep.Config{}, dm...), tw...)
 	baseline := cachesweep.Baseline(stream)
-	// One job per configuration; the last job computes the bound.
-	misses := runner.Map(len(configs)+1, opts, func(i int) int64 {
+	// One job per configuration; the last job computes the bound. The
+	// context never cancels, so Map runs every job and returns no error.
+	misses, _ := runner.Map(context.TODO(), len(configs)+1, opts, func(_ context.Context, i int) int64 {
 		if i == len(configs) {
 			m, _ := cachesweep.InvalBound(stream, ncpu)
 			return m
@@ -805,53 +790,33 @@ type Figure11Point struct {
 	AcquiresPerMS float64
 }
 
-// figure11Window resolves a zero window to the one canonical default
-// (arch.DefaultWindow), the same value core.Run and the CLI flags use.
-func figure11Window(w arch.Cycles) arch.Cycles {
-	if w <= 0 {
-		return arch.DefaultWindow
-	}
-	return w
-}
-
 // RunFigure11 sweeps the CPU count for Multpgm and reports failed
 // acquires per millisecond for the hottest locks (kernel Runqlk and
-// Memlock plus the user-level Mp3d locks). The counts run on the default
-// worker pool.
-func RunFigure11(cpuCounts []int, window arch.Cycles, seed int64) []Figure11Point {
-	pts, _ := RunFigure11Parallel(cpuCounts, window, seed, runner.Options{})
-	return pts
-}
-
-// RunFigure11Parallel is RunFigure11 with an explicit worker-pool size; it
-// also returns the batch timing record. Points come back in submission
-// order (one group of locks per CPU count), byte-identical to a serial
-// sweep.
-func RunFigure11Parallel(cpuCounts []int, window arch.Cycles, seed int64,
-	opts runner.Options) ([]Figure11Point, metrics.BatchStats) {
-	pts, batch, err := RunFigure11Context(context.Background(), cpuCounts, window, seed, opts)
-	if err != nil {
-		panic(err) // only a run panic can surface under a background ctx
-	}
-	return pts, batch
-}
-
-// RunFigure11Context is RunFigure11Parallel under a context; a canceled
-// or expired ctx returns the first run's structured error.
-func RunFigure11Context(ctx context.Context, cpuCounts []int, window arch.Cycles, seed int64,
+// Memlock plus the user-level Mp3d locks). Each run is the base config
+// with only Workload, NCPU and NoTrace overridden, so the machine,
+// window, seed and every mode flag of base carry into the sweep. Points
+// come back in submission order (one group of locks per CPU count),
+// byte-identical to a serial sweep, with the batch timing record; a
+// canceled or panicked run returns the first run's structured error.
+func RunFigure11(ctx context.Context, base core.Config, cpuCounts []int,
 	opts runner.Options) ([]Figure11Point, metrics.BatchStats, error) {
-	window = figure11Window(window)
 	cfgs := make([]core.Config, len(cpuCounts))
 	for i, n := range cpuCounts {
-		cfgs[i] = core.Config{
-			Workload: workload.Multpgm, NCPU: n, Seed: seed,
-			Window: window, NoTrace: true,
-		}
+		cfgs[i] = base
+		cfgs[i].Workload = workload.Multpgm
+		cfgs[i].NCPU = n
+		cfgs[i].NoTrace = true
 	}
-	res, batch := runner.ExperimentsContext(ctx, cfgs, opts)
+	res, batch := runner.Experiments(ctx, cfgs, opts)
 	for _, r := range res {
 		if r.Err != nil {
 			return nil, batch, r.Err
+		}
+		// The sweep returns points, not runs, so a run that broke an
+		// invariant (base.Check) fails the whole sweep.
+		var b strings.Builder
+		if ReportViolations(&b, r.Stats.Label, r.Ch, 1) {
+			return nil, batch, errors.New(strings.TrimSpace(b.String()))
 		}
 	}
 	var out []Figure11Point
@@ -859,7 +824,7 @@ func RunFigure11Context(ctx context.Context, cpuCounts []int, window arch.Cycles
 		n, ch := cpuCounts[i], r.Ch
 		// The paper plots failed acquires per millisecond of run time
 		// (Y includes idle). Use the wall-clock window.
-		wallMS := float64(window.NS()) / 1e6
+		wallMS := float64(ch.Cfg.Window.NS()) / 1e6
 		for _, lname := range []string{klock.Runqlk, klock.Memlock, klock.Ifree} {
 			st := ch.Sim.K.Locks.FamilyStats(lname)
 			out = append(out, Figure11Point{
@@ -890,6 +855,103 @@ func Figure11(points []Figure11Point) string {
 	}
 	t.Note("paper: contention (especially Runqlk) grows steadily with the CPU count")
 	return t.String()
+}
+
+// LockFamilies renders every kernel lock family of one run that was
+// acquired at all, most acquired first: the detail behind Tables 10–12.
+func LockFamilies(ch *core.Characterization) string {
+	t := metrics.NewTable(fmt.Sprintf("All kernel lock families (%s), most acquired first", ch.Cfg.Workload),
+		"Lock", "Acquires", "kCyc between", "Failed%", "SameCPU%", "Cached/Uncached%")
+	for _, st := range ch.Sim.K.Locks.AllStats() {
+		if st.Acquires == 0 {
+			continue
+		}
+		t.AddRow(st.Name, st.Acquires,
+			fmt.Sprintf("%.1f", st.CyclesBetweenAcq/1000),
+			fmt.Sprintf("%.1f", st.PctFailed),
+			fmt.Sprintf("%.1f", st.PctSameCPU),
+			fmt.Sprintf("%.0f", st.PctCachedVsUncached))
+	}
+	return t.String()
+}
+
+// osDMisses sums the classified OS data misses of one full-system run.
+// Sampled runs report the extrapolated whole-window estimate instead of
+// the (partial) measured counts.
+func osDMisses(ch *core.Characterization) int64 {
+	if ch.Sampled != nil {
+		var t float64
+		for cl := 0; cl < int(trace.NumClasses); cl++ {
+			c, _ := ch.Sampled.ClassTotal(1, 0, cl)
+			t += c
+		}
+		return int64(math.Round(t))
+	}
+	var n int64
+	for cl := trace.MissClass(0); cl < trace.NumClasses; cl++ {
+		n += ch.Trace.Counts[1][0][cl]
+	}
+	return n
+}
+
+// Geometry renders the data-cache geometry sweep: the baseline run's
+// data-miss stream (CollectDResim) replayed against each of
+// core.DefaultDSweepConfigs — the paper's §4.2.2 trace-driven method —
+// beside direct full-system re-runs with the coherence-level cache
+// actually resized, then a summary of the 4d380 preset run. The replay
+// mirrors are direct-mapped models, so only the direct-mapped points have
+// a direct run: direct[i] is the i-th of them, in list order.
+func Geometry(baseline *core.Characterization, direct []*core.Characterization, preset *core.Characterization) string {
+	m := baseline.Cfg.Machine
+	cfgs := core.DefaultDSweepConfigs()
+	replay := baseline.DCacheSweep(cfgs)
+	var directBase int64
+	di := 0
+	for _, cfg := range cfgs {
+		if cfg.Assoc != 1 {
+			continue
+		}
+		if cfg.Size == m.DCacheL2Size && cfg.Assoc == m.DCacheL2Assoc {
+			directBase = osDMisses(direct[di])
+		}
+		di++
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "Data-cache geometry sweep: replay oracle vs direct full-system re-run\n")
+	fmt.Fprintf(&b, "(OS data misses relative to the %s point of each method)\n\n", sizeLabel(m.DCacheL2Size))
+	fmt.Fprintf(&b, "  %-12s %14s %9s %14s %9s\n", "cache", "replay misses", "rel", "direct misses", "rel")
+	di = 0
+	for i, cfg := range cfgs {
+		label := fmt.Sprintf("%s/%d-way", sizeLabel(cfg.Size), cfg.Assoc)
+		fmt.Fprintf(&b, "  %-12s %14d %9.2f", label, replay[i].OSMisses, replay[i].Relative)
+		if cfg.Assoc != 1 {
+			fmt.Fprintf(&b, " %14s %9s\n", "-", "-")
+			continue
+		}
+		misses := osDMisses(direct[di])
+		di++
+		rel := 0.0
+		if directBase > 0 {
+			rel = float64(misses) / float64(directBase)
+		}
+		fmt.Fprintf(&b, " %14d %9.2f\n", misses, rel)
+	}
+
+	user, sys, idle := preset.TimeSplit()
+	all, osOnly, _ := preset.StallPct()
+	fmt.Fprintf(&b, "\n4d380 preset (%s):\n", preset.Cfg.Machine)
+	fmt.Fprintf(&b, "  time split user/sys/idle: %.1f%% / %.1f%% / %.1f%%\n", user, sys, idle)
+	fmt.Fprintf(&b, "  memory-stall share: %.1f%% of non-idle cycles (OS %.1f%%)\n", all, osOnly)
+	fmt.Fprintf(&b, "  OS data misses: %d\n", osDMisses(preset))
+	return b.String()
+}
+
+func sizeLabel(n int) string {
+	if n >= 1<<20 && n%(1<<20) == 0 {
+		return fmt.Sprintf("%dM", n>>20)
+	}
+	return fmt.Sprintf("%dK", n>>10)
 }
 
 // All renders every table and figure from one Set.

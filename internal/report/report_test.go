@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/kmem"
 	"repro/internal/metrics"
+	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -17,12 +19,22 @@ var (
 	sharedSet *Set
 )
 
+// mustRunSet is RunSet under a background context, which never cancels:
+// the only possible error is a run panic, re-raised here.
+func mustRunSet(cfg core.Config, par int) *Set {
+	set, err := RunSet(context.Background(), cfg, runner.Options{Parallelism: par})
+	if err != nil {
+		panic(err)
+	}
+	return set
+}
+
 // testSet runs the three workloads once and shares the result across the
 // package's tests (each run costs ~1.5s).
 func testSet() *Set {
 	setOnce.Do(func() {
-		sharedSet = RunSet(core.Config{Seed: 5, Window: 6_000_000,
-			Warmup: 3_000_000, CollectIResim: true})
+		sharedSet = mustRunSet(core.Config{Seed: 5, Window: 6_000_000,
+			Warmup: 3_000_000, CollectIResim: true}, 0)
 	})
 	return sharedSet
 }

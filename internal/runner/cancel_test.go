@@ -15,7 +15,7 @@ import (
 
 func TestRunOnePanicIsolation(t *testing.T) {
 	cfg := core.Config{Workload: workload.Pmake, Window: 400_000, Warmup: 200_000, Seed: 5}
-	res := RunOne(context.Background(), cfg, func() { panic("boom") })
+	res := RunOne(context.Background(), cfg, nil, func() { panic("boom") })
 	if res.Ch != nil {
 		t.Fatal("panicked run still produced a characterization")
 	}
@@ -48,7 +48,7 @@ func TestExperimentsPanicIsolationOrderPreserved(t *testing.T) {
 		{Workload: workload.Pmake, Machine: badMachine, Window: 400_000, Warmup: 200_000, Seed: 5},
 		{Workload: workload.Multpgm, Window: 400_000, Warmup: 200_000, Seed: 6},
 	}
-	res, _ := Experiments(cfgs, Options{Parallelism: 3})
+	res, _ := Experiments(context.Background(), cfgs, Options{Parallelism: 3})
 	if len(res) != 3 {
 		t.Fatalf("got %d results, want 3", len(res))
 	}
@@ -83,7 +83,7 @@ func TestRunOneCancelMidRunNoLeak(t *testing.T) {
 		// Cancel once the simulation has visibly started, so the cancel
 		// lands mid-run however slow set-up is (e.g. under -race).
 		ctx, cancel := context.WithCancel(context.Background())
-		res := RunOneMonitored(ctx, cfg, func(progress func() arch.Cycles) {
+		res := RunOne(ctx, cfg, func(progress func() arch.Cycles) {
 			go func() {
 				for progress() == 0 {
 					time.Sleep(time.Millisecond)
@@ -125,7 +125,7 @@ func TestExperimentsContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfgs := smallCfgs()
-	res, _ := ExperimentsContext(ctx, cfgs, Options{Parallelism: 2})
+	res, _ := Experiments(ctx, cfgs, Options{Parallelism: 2})
 	for i, r := range res {
 		if r.Ch != nil {
 			t.Errorf("run %d completed under a canceled context", i)

@@ -1,5 +1,5 @@
 // Package runner is the parallel experiment engine: a worker pool that
-// fans independent core.Config runs (and, through Map/ForEach, any other
+// fans independent core.Config runs (and, through Map, any other
 // index-shaped fan-out) across GOMAXPROCS goroutines with order-preserving
 // result collection.
 //
@@ -10,7 +10,7 @@
 // parallel batch byte-identical to the serial execution of the same
 // configs. `Options{Parallelism: 1}` restores strictly serial execution.
 //
-//	res, batch := runner.Experiments(cfgs, runner.Options{})
+//	res, batch := runner.Experiments(ctx, cfgs, runner.Options{})
 //	// res[i] corresponds to cfgs[i]; batch.Table() shows the speedup.
 package runner
 
@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -49,26 +50,10 @@ func (o Options) workers(n int) int {
 	return p
 }
 
-// DeriveSeed mixes a base seed and a run index into an independent,
-// reproducible per-run seed (splitmix64 finalizer). Sweeps that want
-// statistically independent runs derive one seed per submission index, so
-// the whole sweep replays from the base seed alone — on any worker count.
-func DeriveSeed(base int64, i int) int64 {
-	z := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	s := int64(z &^ (1 << 63))
-	if s == 0 {
-		return 1 // seed 0 means "default" to the simulator
-	}
-	return s
-}
-
 // PanicError is the structured error of a run whose pipeline panicked:
 // the panic value, the goroutine stack at the point of the panic, and
 // the run's provenance (config hash, seed, cycle reached). RunOne and
-// ExperimentsContext convert panics into PanicErrors so one broken
+// Experiments convert panics into PanicErrors so one broken
 // configuration cannot take down a batch or a worker pool.
 type PanicError struct {
 	core.Provenance
@@ -82,72 +67,48 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("run panicked (%s): %v", e.Provenance, e.Value)
 }
 
-// ForEachContext is ForEach with cooperative cancellation: indexes not
-// yet started when ctx is canceled are skipped (fn never sees them), and
-// the skip is reported through the returned error — nil only if every
-// index ran. fn receives ctx to thread into context-aware work.
-func ForEachContext(ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int)) error {
-	var skipped int64
-	var mu sync.Mutex
-	ForEach(n, opts, func(i int) {
+// Map runs fn(ctx, 0..n-1) on a bounded worker pool and returns the
+// results indexed by submission order: Map(ctx, n, o, f)[i] == f(ctx, i)
+// regardless of parallelism. fn must not depend on execution order.
+// Indexes not yet started when ctx is canceled are skipped — their slots
+// hold T's zero value — and the skip is reported through the returned
+// error, which is nil only if every index ran.
+func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) T) ([]T, error) {
+	out := make([]T, n)
+	var skipped atomic.Int64
+	do := func(i int) {
 		if ctx.Err() != nil {
-			mu.Lock()
-			skipped++
-			mu.Unlock()
+			skipped.Add(1)
 			return
 		}
-		fn(ctx, i)
-	})
-	if skipped > 0 {
-		return fmt.Errorf("runner: %d of %d jobs not started: %w", skipped, n, context.Cause(ctx))
+		out[i] = fn(ctx, i)
 	}
-	return nil
-}
-
-// MapContext fans fn across the pool under ctx. Slots whose index was
-// skipped because ctx was canceled hold T's zero value, and the skip is
-// reported through the error.
-func MapContext[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) T) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachContext(ctx, n, opts, func(ctx context.Context, i int) { out[i] = fn(ctx, i) })
-	return out, err
-}
-
-// ForEach runs fn(0..n-1) on a bounded worker pool and returns when all
-// calls have finished. fn must not depend on execution order; writes
-// should go to the caller's slot i.
-func ForEach(n int, opts Options, fn func(i int)) {
-	w := opts.workers(n)
-	if w == 1 {
+	if w := opts.workers(n); w == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			do(i)
 		}
-		return
+	} else {
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(w)
+		for q := 0; q < w; q++ {
+			go func() {
+				defer wg.Done()
+				for i := range jobs {
+					do(i)
+				}
+			}()
+		}
+		for i := 0; i < n; i++ {
+			jobs <- i
+		}
+		close(jobs)
+		wg.Wait()
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for q := 0; q < w; q++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
+	if k := skipped.Load(); k > 0 {
+		return out, fmt.Errorf("runner: %d of %d jobs not started: %w", k, n, context.Cause(ctx))
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// Map fans fn across the pool and returns its results indexed by
-// submission order: Map(n, o, f)[i] == f(i) regardless of parallelism.
-func Map[T any](n int, opts Options, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, opts, func(i int) { out[i] = fn(i) })
-	return out
+	return out, nil
 }
 
 // Result pairs a characterization with its per-run observability.
@@ -161,21 +122,15 @@ type Result struct {
 	Err error
 }
 
-// RunOne executes one config through core.RunContext with panic
+// RunOne executes one config through core.RunMonitored with panic
 // isolation: a panic anywhere in the pipeline comes back as a
-// *PanicError in Result.Err instead of unwinding into the caller. The
+// *PanicError in Result.Err instead of unwinding into the caller. onStart
+// (if non-nil) receives the run's simulated-cycle heartbeat function just
+// before simulation begins — the service watchdog feeds on it. The
 // optional preRun hooks fire inside the recovery scope before the
 // simulation starts — the service's test hooks use them to force
 // failures down the production error path.
-func RunOne(ctx context.Context, cfg core.Config, preRun ...func()) Result {
-	return RunOneMonitored(ctx, cfg, nil, preRun...)
-}
-
-// RunOneMonitored is RunOne plus core.RunMonitored's progress probe:
-// onStart (if non-nil) receives the run's simulated-cycle heartbeat
-// function just before simulation begins — the service watchdog feeds
-// on it.
-func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress func() arch.Cycles), preRun ...func()) (res Result) {
+func RunOne(ctx context.Context, cfg core.Config, onStart func(progress func() arch.Cycles), preRun ...func()) (res Result) {
 	canonical := cfg.Canonical()
 	var progress func() arch.Cycles
 	t0 := time.Now()
@@ -216,43 +171,39 @@ func RunOneMonitored(ctx context.Context, cfg core.Config, onStart func(progress
 	return Result{Ch: ch, Stats: st}
 }
 
-// Experiments runs each config through core.Run on the pool. Results are
-// indexed by submission order (Result[i] is cfgs[i]'s run), so output
-// rendered from them is byte-identical to a serial execution. The batch
-// stats carry per-run wall-clock and simulated-cycle throughput plus
-// process-wide allocation deltas; per-run allocation counts are exact
-// only for serial batches (Go accounts heap allocation process-wide).
-// A panicking config surfaces as that run's Result.Err; the rest of the
-// batch completes normally.
-func Experiments(cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats) {
-	return ExperimentsContext(context.Background(), cfgs, opts)
-}
-
-// ExperimentsContext is Experiments under a context: a canceled or
-// expired ctx stops every in-flight run before its next bus transaction
-// and resolves the remaining slots with *core.CanceledError — every
-// submitted config gets a terminal Result either way, in submission
-// order.
-func ExperimentsContext(ctx context.Context, cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats) {
+// Experiments runs each config on the pool. Results are indexed by
+// submission order (Result[i] is cfgs[i]'s run), so output rendered from
+// them is byte-identical to a serial execution. The batch stats carry
+// per-run wall-clock and simulated-cycle throughput plus process-wide
+// allocation deltas; per-run allocation counts are exact only for serial
+// batches (Go accounts heap allocation process-wide). A panicking config
+// surfaces as that run's Result.Err; the rest of the batch completes
+// normally. A canceled or expired ctx stops every in-flight run before
+// its next bus transaction and resolves the remaining slots with
+// *core.CanceledError — every submitted config gets a terminal Result
+// either way, in submission order.
+func Experiments(ctx context.Context, cfgs []core.Config, opts Options) ([]Result, metrics.BatchStats) {
 	n := len(cfgs)
 	w := opts.workers(n)
 	serial := w == 1
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	out := make([]Result, n)
-	ForEach(n, opts, func(i int) {
+	// The pool itself never cancels, so every slot runs: under a
+	// canceled ctx RunOne resolves it with the *core.CanceledError.
+	out, _ := Map(context.WithoutCancel(ctx), n, opts, func(_ context.Context, i int) Result {
 		var m0 runtime.MemStats
 		if serial {
 			runtime.ReadMemStats(&m0)
 		}
-		out[i] = RunOne(ctx, cfgs[i])
-		if serial && out[i].Err == nil {
+		r := RunOne(ctx, cfgs[i], nil)
+		if serial && r.Err == nil {
 			var m1 runtime.MemStats
 			runtime.ReadMemStats(&m1)
-			out[i].Stats.Allocs = m1.Mallocs - m0.Mallocs
-			out[i].Stats.AllocBytes = m1.TotalAlloc - m0.TotalAlloc
+			r.Stats.Allocs = m1.Mallocs - m0.Mallocs
+			r.Stats.AllocBytes = m1.TotalAlloc - m0.TotalAlloc
 		}
+		return r
 	})
 	batch := metrics.BatchStats{Parallelism: w, Wall: time.Since(start)}
 	var after runtime.MemStats

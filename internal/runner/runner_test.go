@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -10,7 +12,11 @@ import (
 
 func TestMapOrderPreserved(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
-		out := Map(100, Options{Parallelism: par}, func(i int) int { return i * i })
+		out, err := Map(context.Background(), 100, Options{Parallelism: par},
+			func(_ context.Context, i int) int { return i * i })
+		if err != nil {
+			t.Fatalf("par %d: %v", par, err)
+		}
 		if len(out) != 100 {
 			t.Fatalf("par %d: got %d results", par, len(out))
 		}
@@ -22,13 +28,29 @@ func TestMapOrderPreserved(t *testing.T) {
 	}
 }
 
-func TestForEachRunsEveryIndexOnce(t *testing.T) {
+func TestMapRunsEveryIndexOnce(t *testing.T) {
 	hits := make([]int, 200)
-	ForEach(len(hits), Options{Parallelism: 7}, func(i int) { hits[i]++ })
+	if _, err := Map(context.Background(), len(hits), Options{Parallelism: 7},
+		func(_ context.Context, i int) struct{} { hits[i]++; return struct{}{} }); err != nil {
+		t.Fatal(err)
+	}
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("index %d ran %d times", i, h)
 		}
+	}
+}
+
+func TestMapPreCanceledSkipsEveryIndex(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := false
+	out, err := Map(ctx, 5, Options{Parallelism: 2}, func(context.Context, int) int { ran = true; return 1 })
+	if ran || len(out) != 5 || out[0] != 0 {
+		t.Fatalf("canceled Map ran work or filled slots: ran=%v out=%v", ran, out)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
 }
 
@@ -57,26 +79,6 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-func TestDeriveSeed(t *testing.T) {
-	seen := map[int64]bool{}
-	for i := 0; i < 1000; i++ {
-		s := DeriveSeed(42, i)
-		if s <= 0 {
-			t.Fatalf("seed %d for index %d not positive", s, i)
-		}
-		if s != DeriveSeed(42, i) {
-			t.Fatalf("index %d not deterministic", i)
-		}
-		if seen[s] {
-			t.Fatalf("index %d collides with an earlier index", i)
-		}
-		seen[s] = true
-	}
-	if DeriveSeed(1, 0) == DeriveSeed(2, 0) {
-		t.Error("different bases produced the same first seed")
-	}
-}
-
 // smallCfgs builds a checked four-run batch small enough for the race
 // detector: two workloads at two CPU counts each.
 func smallCfgs() []core.Config {
@@ -84,7 +86,7 @@ func smallCfgs() []core.Config {
 	for i, k := range []workload.Kind{workload.Pmake, workload.Multpgm} {
 		for _, n := range []int{2, 4} {
 			out = append(out, core.Config{
-				Workload: k, NCPU: n, Seed: DeriveSeed(9, i),
+				Workload: k, NCPU: n, Seed: []int64{3, 8}[i],
 				Window: 400_000, Warmup: 200_000, Check: true,
 			})
 		}
@@ -98,8 +100,8 @@ func smallCfgs() []core.Config {
 // pool's -race exercise).
 func TestExperimentsParallelMatchesSerial(t *testing.T) {
 	cfgs := smallCfgs()
-	ser, sb := Experiments(cfgs, Options{Parallelism: 1})
-	par, pb := Experiments(cfgs, Options{Parallelism: 8})
+	ser, sb := Experiments(context.Background(), cfgs, Options{Parallelism: 1})
+	par, pb := Experiments(context.Background(), cfgs, Options{Parallelism: 8})
 	if sb.Parallelism != 1 {
 		t.Errorf("serial batch used %d workers", sb.Parallelism)
 	}
@@ -128,7 +130,7 @@ func TestExperimentsParallelMatchesSerial(t *testing.T) {
 
 func TestExperimentsStats(t *testing.T) {
 	cfgs := smallCfgs()[:2]
-	res, batch := Experiments(cfgs, Options{Parallelism: 1})
+	res, batch := Experiments(context.Background(), cfgs, Options{Parallelism: 1})
 	if len(batch.Runs) != len(cfgs) {
 		t.Fatalf("batch recorded %d runs, want %d", len(batch.Runs), len(cfgs))
 	}

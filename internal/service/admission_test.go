@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// TestAdmissionRejectsBadMachineAndWindows: a request whose machine or
-// windows cannot run is a 400 naming the field, with no job created and
-// no queue slot taken — it must never reach a worker and resolve as a
-// panic.
+// TestAdmissionRejectsBadMachineAndWindows: a request whose machine,
+// windows or sample schedule cannot run is a 400 naming the field, with
+// no job created and no queue slot taken — it must never reach a worker
+// and resolve as a panic.
 func TestAdmissionRejectsBadMachineAndWindows(t *testing.T) {
 	srv := New(Options{Workers: 1, Logf: t.Logf})
 	defer srv.Drain()
@@ -23,6 +23,9 @@ func TestAdmissionRejectsBadMachineAndWindows(t *testing.T) {
 		{`{"workload":"Pmake","ncpu":-3}`, "ncpu"},
 		{`{"workload":"Pmake","window":-5}`, "window"},
 		{`{"workload":"Pmake","warmup":-1}`, "warmup"},
+		// A schedule that measures no interval in the window would
+		// report 0 ± 0 from zero samples.
+		{`{"workload":"Pmake","window":50000,"sample":"30K:60K:430K"}`, "sample"},
 	} {
 		resp, err := http.Post(hts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

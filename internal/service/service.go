@@ -88,8 +88,10 @@ type Request struct {
 }
 
 // Config resolves the request into a core.Config, validating the
-// workload, the machine (preset plus the ncpu override) and the windows,
-// so a bad request is rejected at admission and never reaches a worker.
+// workload, the machine preset and then the whole config
+// (core.Config.Validate: the ncpu override, the windows, the sample
+// schedule), so a bad request is rejected at admission and never reaches
+// a worker.
 // Zero still means "default" for every numeric field.
 func (r Request) Config() (core.Config, error) {
 	kind, err := workload.ParseKind(r.Workload)
@@ -100,28 +102,19 @@ func (r Request) Config() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	if r.NCPU != 0 {
-		vm := m
-		vm.NCPU = r.NCPU
-		if err := vm.Validate(); err != nil {
-			return core.Config{}, fmt.Errorf("ncpu: %w", err)
-		}
-	}
-	if r.Window < 0 {
-		return core.Config{}, fmt.Errorf("window %d: must be ≥ 0 (0 = default)", r.Window)
-	}
-	if r.Warmup < 0 {
-		return core.Config{}, fmt.Errorf("warmup %d: must be ≥ 0 (0 = default)", r.Warmup)
-	}
 	sched, err := sample.Parse(r.Sample)
 	if err != nil {
 		return core.Config{}, err
 	}
-	return core.Config{
+	cfg := core.Config{
 		Workload: kind, Machine: m, NCPU: r.NCPU, Seed: r.Seed,
 		Window: arch.Cycles(r.Window), Warmup: arch.Cycles(r.Warmup),
 		Check: r.Check, Sample: sched,
-	}, nil
+	}
+	if err := cfg.Validate(); err != nil {
+		return core.Config{}, err
+	}
+	return cfg, nil
 }
 
 // Job states.
@@ -572,7 +565,7 @@ func (s *Server) execute(job *Job) {
 			panic(fmt.Sprintf("test hook: forced panic (job %s)", job.ID))
 		})
 	}
-	res := runner.RunOneMonitored(wctx, job.Cfg, func(p func() arch.Cycles) {
+	res := runner.RunOne(wctx, job.Cfg, func(p func() arch.Cycles) {
 		job.mu.Lock()
 		job.progress = p
 		job.mu.Unlock()

@@ -11,18 +11,15 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-echo "== go test -race ./internal/runner/..."
-go test -race ./internal/runner/...
-
 echo "== go test -race ./..."
 go test -race ./...
 
 echo "== checked fault-injection smoke (charos -check -inject all)"
 go run ./cmd/charos -exp table1 -window 2000000 -check -inject all >/dev/null
 
-echo "== parallel-vs-serial determinism smoke (sweep -exp figure11)"
-serial=$(go run ./cmd/sweep -exp figure11 -cpus 2,4 -window 1000000 -parallel 1 2>/dev/null)
-pooled=$(go run ./cmd/sweep -exp figure11 -cpus 2,4 -window 1000000 -parallel 8 2>/dev/null)
+echo "== parallel-vs-serial determinism smoke (charos -exp figure11)"
+serial=$(go run ./cmd/charos -exp figure11 -cpus 2,4 -window 1000000 -parallel 1 2>/dev/null)
+pooled=$(go run ./cmd/charos -exp figure11 -cpus 2,4 -window 1000000 -parallel 8 2>/dev/null)
 if [ "$serial" != "$pooled" ]; then
     echo "FAIL: -parallel 8 output diverges from -parallel 1" >&2
     exit 1
@@ -70,8 +67,8 @@ echo "$plainrep" | grep -q 'sampling:' && {
 echo "== default-machine oracle (zero Machine vs explicit arch.Default reports)"
 go test -run 'TestDefaultMachineMatchesSeed' ./internal/report
 
-echo "== geometry sweep smoke (sweep -exp geometry, checker on)"
-go run ./cmd/sweep -exp geometry -window 1000000 >/dev/null
+echo "== geometry sweep smoke (charos -exp geometry, checker on)"
+go run ./cmd/charos -exp geometry -window 1000000 >/dev/null
 
 smoke=$(mktemp -d)
 daemon=""
@@ -81,20 +78,30 @@ cleanup_smoke() {
 }
 trap 'cleanup_smoke' EXIT
 
-echo "== bad -ncpu is a usage error (charos -ncpu -3)"
-# The CPU-count override must be validated before any run starts: exit 2
-# with a message naming the flag, never a panic inside a worker.
+echo "== bad or misapplied flags are usage errors (charos)"
+# Every flag is validated before any run starts: exit 2 with a message
+# naming the flag, never a panic inside a worker. Each line is the flag
+# the message must name, then the arguments.
 go build -o "$smoke/charos" ./cmd/charos
-status=0
-"$smoke/charos" -exp table1 -window 400000 -ncpu -3 >/dev/null 2> "$smoke/ncpu.err" || status=$?
-if [ "$status" -ne 2 ]; then
-    echo "FAIL: charos -ncpu -3 exited $status, want 2" >&2; exit 1
-fi
-grep -q -- '-ncpu' "$smoke/ncpu.err" || {
-    echo "FAIL: charos -ncpu -3 did not name the flag" >&2; exit 1; }
-if grep -q 'panicked' "$smoke/ncpu.err"; then
-    echo "FAIL: charos -ncpu -3 panicked inside a run" >&2; exit 1
-fi
+while read -r name args; do
+    status=0
+    # shellcheck disable=SC2086 # the arguments are split on purpose
+    "$smoke/charos" $args >/dev/null 2> "$smoke/usage.err" || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "FAIL: charos $args exited $status, want 2" >&2; exit 1
+    fi
+    grep -q -- "$name" "$smoke/usage.err" || {
+        echo "FAIL: charos $args did not name $name" >&2; exit 1; }
+    if grep -q 'panicked' "$smoke/usage.err"; then
+        echo "FAIL: charos $args panicked inside a run" >&2; exit 1
+    fi
+done <<'USAGE'
+-ncpu -exp table1 -window 400000 -ncpu -3
+-cpus -exp figure11 -cpus 2,abc
+-workload -exp locks -workload nope
+-sample -exp table1 -sample 20K:40K:200K
+-sample -exp report -window 50000 -sample 30K:60K:430K
+USAGE
 
 echo "== charosd smoke (panic isolation, 429 shed, SIGTERM drain)"
 go build -o "$smoke/charosd" ./cmd/charosd
@@ -151,20 +158,21 @@ daemon=""
 grep -q 'drain complete: all accepted jobs resolved' "$smoke/charosd-load.log" || {
     echo "FAIL: post-load drain did not resolve all accepted jobs" >&2; exit 1; }
 
-echo "== recorded benchmark gate (bench.sh compare BENCH_PR4 vs BENCH_PR5)"
-scripts/bench.sh compare BENCH_PR4.json BENCH_PR5.json -threshold 50
-
-echo "== recorded benchmark gate (bench.sh compare BENCH_PR5 vs BENCH_PR8)"
-# The PR 8 recording adds the 4d380 parallel-engine benchmark (present
-# only on the new side — compare skips one-sided entries) and must not
-# regress the serial pipeline.
-scripts/bench.sh compare BENCH_PR5.json BENCH_PR8.json -threshold 50
-
-echo "== benchmark regression gate (bench.sh compare vs BENCH_PR8.json)"
-# One quick repetition against the committed PR 8 numbers. The threshold is
-# deliberately loose (noisy shared runners); tighten it for local tuning.
-gate="$smoke/gate.json"
-scripts/bench.sh -count 1 -bench 'BenchmarkPipeline_FullCharacterization' -phase gate -out "$gate" 2>/dev/null
-scripts/bench.sh compare BENCH_PR8.json "$gate" -threshold 50
+echo "== same-host benchmark gate (bench.sh compare: base commit vs this tree)"
+# Baseline and current run on this host in this session, so the gate
+# compares like with like. The base is the merge base with main, or the
+# parent commit when HEAD is itself on main; it is exported with git
+# archive and benchmarked with its own scripts. The threshold is loose
+# because one repetition on a shared runner is noisy.
+head=$(git rev-parse HEAD)
+base=$(git merge-base HEAD main 2>/dev/null || echo "$head")
+[ "$base" = "$head" ] && base=$(git rev-parse HEAD^)
+mkdir "$smoke/base"
+git archive "$base" | tar -x -C "$smoke/base"
+"$smoke/base/scripts/bench.sh" -count 1 -bench 'BenchmarkPipeline_FullCharacterization' \
+    -phase baseline -out "$smoke/base.json" 2>/dev/null
+scripts/bench.sh -count 1 -bench 'BenchmarkPipeline_FullCharacterization' \
+    -out "$smoke/current.json" 2>/dev/null
+scripts/bench.sh compare "$smoke/base.json" "$smoke/current.json" -threshold 50
 
 echo "ok"
